@@ -188,7 +188,7 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
         | Some child when Dgg.solved child -> Dgg.size child - 1
         | _ -> 0
       in
-      let conflict_tbl = Gprune.prepare g all_paths in
+      let pruner = Gprune.prepare g all_paths in
       List.iter
         (fun a ->
           let groups =
@@ -209,7 +209,7 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
             let case_ii = List.length groups > 1 in
             (* grammar-based pruning happens inside combination generation *)
             let survivors, total =
-              Gprune.combos ~budget conflict_tbl ~enabled:(gprune && case_ii) groups
+              Gprune.combos ~budget pruner ~enabled:(gprune && case_ii) groups
             in
             let after_gprune = List.length survivors in
             if case_ii then begin

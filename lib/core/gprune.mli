@@ -1,25 +1,25 @@
 (** Grammar-based pruning (paper §V-A).
 
     Given the candidate paths of a set of sibling dependency edges, two
-    paths form a {e conflict pair} when they vote for different
-    alternatives of the same grammar node ({!Dggt_grammar.Pathvote}). A
+    paths form a {e conflict pair} when they leave the same grammar node
+    through edges of different productions ({!Dggt_grammar.Pathvote}). A
     combination containing a conflict pair can never merge into a
     grammatically valid CGT, so such combinations are pruned {e before}
     they are enumerated: the combination generator extends a partial
     combination only with paths that do not conflict with any already
-    chosen one. *)
+    chosen one.
+
+    Nothing pairwise is built. Each path carries a signature, the
+    [(grammar node, production)] pairs of its edges; the generator keeps a
+    node -> production multiset of the paths chosen so far and checks a
+    candidate against it in O(|path|). *)
 
 type t
 
 val prepare : Dggt_grammar.Ggraph.t -> Edge2path.epath list -> t
-(** Precompute the conflict table over the given sibling-edge paths. *)
-
-val conflict_pairs : t -> (int * int) list
-(** Conflicting epath-id pairs, (smaller, larger). *)
-
-val conflicts_with : t -> int -> int list -> bool
-(** [conflicts_with t p chosen]: does epath [p] conflict with any of
-    [chosen]? *)
+(** Read the signature of each given sibling-edge path off the grammar
+    graph. Paths are keyed by epath id; a path [combos] meets that was
+    not prepared conflicts with nothing. *)
 
 val combos :
   ?budget:Dggt_util.Budget.t ->
@@ -31,4 +31,5 @@ val combos :
     skipping (when [enabled]) every combination containing a conflict pair.
     Returns the surviving combinations and the total combination count
     before pruning (the product of group sizes, saturating). The budget is
-    ticked per emitted combination. *)
+    ticked once per candidate path tried at each position. With
+    [~enabled:false] no multiset is built. *)

@@ -180,7 +180,7 @@ let synthesize ~budget ~stats ~gprune ~sprune ?(trace : Trace.span option) g
         | Some child when set_ child -> child.min_size - 1
         | _ -> 0
       in
-      let conflict_tbl = Gprune.prepare g all_paths in
+      let pruner = Gprune.prepare g all_paths in
       List.iter
         (fun a ->
           let groups =
@@ -195,7 +195,7 @@ let synthesize ~budget ~stats ~gprune ~sprune ?(trace : Trace.span option) g
           if List.for_all (fun gp -> gp <> []) groups then begin
             let case_ii = List.length groups > 1 in
             let survivors, total =
-              Gprune.combos ~budget conflict_tbl ~enabled:(gprune && case_ii) groups
+              Gprune.combos ~budget pruner ~enabled:(gprune && case_ii) groups
             in
             let after_gprune = List.length survivors in
             if case_ii then begin

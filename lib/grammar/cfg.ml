@@ -1,5 +1,3 @@
-open Dggt_util
-
 type symbol = T of string | N of string
 
 type production = { id : int; lhs : string; rhs : symbol list }
@@ -29,14 +27,32 @@ let pp_symbol fmt = function
 let of_bnf ~start rules =
   if rules = [] then Error Empty_grammar
   else begin
-    let nts = List.map (fun (r : Bnf.rule) -> r.lhs) rules in
-    if not (List.mem start nts) then Error (Undefined_start start)
+    (* hashed membership: a grammar has hundreds of nonterminals and
+       terminals and tens of thousands of right-hand-side symbols *)
+    let nt_set = Hashtbl.create 256 in
+    let nonterminals =
+      List.filter_map
+        (fun (r : Bnf.rule) ->
+          if Hashtbl.mem nt_set r.lhs then None
+          else begin
+            Hashtbl.add nt_set r.lhs ();
+            Some r.lhs
+          end)
+        rules
+    in
+    if not (Hashtbl.mem nt_set start) then Error (Undefined_start start)
     else begin
-      let is_nt s = List.mem s nts in
+      let seen_terminals = Hashtbl.create 256 in
       let terminals = ref [] in
-      let note_terminal s =
-        if (not (is_nt s)) && not (List.mem s !terminals) then
-          terminals := s :: !terminals
+      let symbol s =
+        if Hashtbl.mem nt_set s then N s
+        else begin
+          if not (Hashtbl.mem seen_terminals s) then begin
+            Hashtbl.add seen_terminals s ();
+            terminals := s :: !terminals
+          end;
+          T s
+        end
       in
       let productions = ref [] in
       let next_id = ref 0 in
@@ -44,13 +60,7 @@ let of_bnf ~start rules =
         (fun (r : Bnf.rule) ->
           List.iter
             (fun alt ->
-              let rhs =
-                List.map
-                  (fun s ->
-                    note_terminal s;
-                    if is_nt s then N s else T s)
-                  alt
-              in
+              let rhs = List.map symbol alt in
               productions := { id = !next_id; lhs = r.lhs; rhs } :: !productions;
               incr next_id)
             r.alternatives)
@@ -59,7 +69,7 @@ let of_bnf ~start rules =
         {
           start;
           productions = Array.of_list (List.rev !productions);
-          nonterminals = Listutil.uniq nts;
+          nonterminals;
           terminals = List.rev !terminals;
         }
     end

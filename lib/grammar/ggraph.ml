@@ -78,10 +78,17 @@ let build (cfg : Cfg.t) =
           (fun i sym -> new_edge b ~src:parent ~dst:(sym_node sym) ~prod:p.id ~pos:i ~alt)
           syms
   in
+  (* productions grouped by lhs in one pass, each group in id order *)
+  let by_lhs = Hashtbl.create 256 in
+  for i = Array.length cfg.Cfg.productions - 1 downto 0 do
+    let p = cfg.Cfg.productions.(i) in
+    Hashtbl.replace by_lhs p.Cfg.lhs
+      (p :: Option.value (Hashtbl.find_opt by_lhs p.Cfg.lhs) ~default:[])
+  done;
   List.iter
     (fun nt ->
       let nt_n = Hashtbl.find b.nt_tbl nt in
-      let prods = Cfg.productions_of cfg nt in
+      let prods = Option.value (Hashtbl.find_opt by_lhs nt) ~default:[] in
       let multi = List.length prods > 1 in
       List.iter
         (fun (p : Cfg.production) ->

@@ -21,5 +21,7 @@ val conflicts : Ggraph.t -> (int * Gpath.t) list -> (int * int) list
     one tree). *)
 
 val conflict_table : Ggraph.t -> (int * Gpath.t) list -> (int * int, unit) Hashtbl.t
-(** Same pairs as {!conflicts}, as a hash set for O(1) membership tests in
-    the pruning inner loop. *)
+(** Same pairs as {!conflicts}, as a hash set. The table is quadratic in
+    the path count, so product code does not build it: grammar-based
+    pruning ([Gprune] in the core library) checks per-path signatures
+    instead. The table stays as the test oracle for that pruning. *)

@@ -19,6 +19,32 @@ let synth dom alg q =
        { (Engine.default alg) with Engine.timeout_s = Some 10.0 })
     q
 
+(* A text rendering of every node, edge and adjacency list, digested:
+   equal digests mean the same graph, id for id. *)
+let graph_digest (g : Ggraph.t) =
+  let b = Buffer.create 4096 in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Array.iter
+    (fun (n : Ggraph.node) ->
+      Buffer.add_string b
+        (Printf.sprintf "n %d %s\n" n.Ggraph.id
+           (match n.Ggraph.kind with
+           | Ggraph.Nt s -> "N" ^ s
+           | Ggraph.Api s -> "A" ^ s
+           | Ggraph.Deriv p -> "D" ^ string_of_int p)))
+    g.Ggraph.nodes;
+  Array.iter
+    (fun (e : Ggraph.edge) ->
+      Buffer.add_string b
+        (Printf.sprintf "e %d %d %d %d %d %b\n" e.Ggraph.id e.Ggraph.src e.Ggraph.dst
+           e.Ggraph.prod e.Ggraph.pos e.Ggraph.alt))
+    g.Ggraph.edges;
+  Array.iteri (fun i l -> Buffer.add_string b (Printf.sprintf "c %d %s\n" i (ints l)))
+    g.Ggraph.children;
+  Array.iteri (fun i l -> Buffer.add_string b (Printf.sprintf "p %d %s\n" i (ints l)))
+    g.Ggraph.parents;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 (* ------------------------------------------------------------------ *)
 (* Structural well-formedness                                         *)
 (* ------------------------------------------------------------------ *)
@@ -34,6 +60,16 @@ let test_am_counts () =
   check_b (Printf.sprintf "ASTMatcher has ~505 APIs (got %d)" n) true
     (n >= 450 && n <= 520);
   check_i "ASTMatcher has 100 queries (paper: 100)" 100 (Domain.query_count am)
+
+(* Golden data for the ASTMatcher grammar graph: the node and edge counts
+   and the structural digest above. Any change to how Cfg or Ggraph builds
+   the graph (symbol classification, production order, node or edge
+   numbering, adjacency order) moves the digest. *)
+let test_am_graph_golden () =
+  let g = Lazy.force am.Domain.graph in
+  check_i "ASTMatcher graph nodes" 1063 (Ggraph.node_count g);
+  check_i "ASTMatcher graph edges" 21766 (Ggraph.edge_count g);
+  check_s "ASTMatcher graph digest" "6c844ca3dc42f4ea6ae21061d3ba0e25" (graph_digest g)
 
 let test_grammars_build () =
   List.iter
@@ -238,4 +274,5 @@ let suite =
     Alcotest.test_case "TextEditing sample accuracy" `Slow test_te_sample_accuracy;
     Alcotest.test_case "ASTMatcher sample accuracy" `Slow test_am_sample_accuracy;
     Alcotest.test_case "DGGT interactive speed" `Slow test_dggt_interactive_speed;
+    Alcotest.test_case "ASTMatcher graph golden" `Quick test_am_graph_golden;
   ]

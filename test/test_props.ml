@@ -155,6 +155,177 @@ let prop_gprune_lossless =
              not (Cgt.is_grammar_valid g cgt))
            pruned)
 
+(* Grammar-based pruning against its oracle, the pairwise conflict table:
+   [combos ~enabled:true] must return exactly the [~enabled:false]
+   combinations, in the same order, minus every combination holding a
+   pair the table lists, and report the same total. Sibling groups are
+   drawn from real paths of both built-in graphs. On ASTMatcher some
+   candidates are walks through recursive nonterminals (a path to an API,
+   continued by a path out of that API), so one candidate can leave the
+   same grammar node twice, through one production or through two. *)
+type oracle_graph = {
+  og : Ggraph.t;
+  limits : Gpath.limits;
+  govs : int array;  (** API nodes with at least one API below them *)
+  walks : bool;      (** draw recursive walks as well as paths *)
+  memo : (int * int, Gpath.t list) Hashtbl.t;
+}
+
+let apis_below og a =
+  List.filter_map
+    (fun (_, b) -> if b <> a && Ggraph.distance og a b < max_int then Some b else None)
+    (Ggraph.api_nodes og)
+
+let oracle_graph (dom : Dggt_domains.Domain.t) ~walks =
+  let og = Lazy.force dom.Dggt_domains.Domain.graph in
+  {
+    og;
+    limits =
+      Option.value dom.Dggt_domains.Domain.path_limits ~default:Gpath.default_limits;
+    govs =
+      Ggraph.api_nodes og
+      |> List.filter_map (fun (_, a) -> if apis_below og a <> [] then Some a else None)
+      |> Array.of_list;
+    walks;
+    memo = Hashtbl.create 64;
+  }
+
+let te_oracle = lazy (oracle_graph Dggt_domains.Text_editing.domain ~walks:false)
+let am_oracle = lazy (oracle_graph Dggt_domains.Astmatcher.domain ~walks:true)
+
+let oracle_paths o a b =
+  match Hashtbl.find_opt o.memo (a, b) with
+  | Some ps -> ps
+  | None ->
+      let ps = Gpath.search ~limits:o.limits o.og ~src:a ~dst:b in
+      Hashtbl.add o.memo (a, b) ps;
+      ps
+
+let pick st l = List.nth l (Random.State.int st (List.length l))
+
+(* A real path from [a] down to some API below it. *)
+let draw_step o st a =
+  match apis_below o.og a with
+  | [] -> None
+  | bs -> (
+      match oracle_paths o a (pick st bs) with [] -> None | ps -> Some (pick st ps))
+
+(* [p] continued by [q], which starts where [p] ends. *)
+let walk (p : Gpath.t) (q : Gpath.t) =
+  let tail a = Array.sub a 1 (Array.length a - 1) in
+  {
+    Gpath.nodes = Array.append p.Gpath.nodes (tail q.Gpath.nodes);
+    edges = Array.append p.Gpath.edges q.Gpath.edges;
+    apis = Array.append p.Gpath.apis (tail q.Gpath.apis);
+  }
+
+(* A real path from [a], or (on a [walks] graph, one draw in three) that
+   path continued by a real path further down. *)
+let draw_path o st a =
+  match draw_step o st a with
+  | Some p when o.walks && Random.State.int st 3 = 0 -> (
+      match draw_step o st (Gpath.bottom p) with
+      | Some q -> Some (walk p q)
+      | None -> Some p)
+  | r -> r
+
+let number_groups groups =
+  let next_id = ref 0 in
+  List.map
+    (List.map (fun p ->
+         let e = mk_epath !next_id p in
+         incr next_id;
+         e))
+    groups
+
+(* 2-4 sibling groups of 1-4 candidates, all below one governor API. *)
+let draw_groups o st =
+  let a = o.govs.(Random.State.int st (Array.length o.govs)) in
+  List.init
+    (2 + Random.State.int st 3)
+    (fun _ ->
+      List.init (1 + Random.State.int st 4) Fun.id
+      |> List.filter_map (fun _ -> draw_path o st a))
+  |> List.filter (fun g -> g <> [])
+  |> number_groups
+
+let ids combos =
+  List.map (List.map (fun (p : Edge2path.epath) -> p.Edge2path.id)) combos
+
+let oracle_combos g groups =
+  let eps = List.concat groups in
+  let tbl =
+    Pathvote.conflict_table g
+      (List.map (fun (p : Edge2path.epath) -> (p.Edge2path.id, p.Edge2path.path)) eps)
+  in
+  let all, total = Gprune.combos (Gprune.prepare g eps) ~enabled:false groups in
+  let rec clean = function
+    | [] -> true
+    | p :: rest ->
+        List.for_all (fun q -> not (Hashtbl.mem tbl (min p q, max p q))) rest
+        && clean rest
+  in
+  (List.filter clean (ids all), total)
+
+let matches_oracle g groups =
+  let survivors, total =
+    Gprune.combos (Gprune.prepare g (List.concat groups)) ~enabled:true groups
+  in
+  (ids survivors, total) = oracle_combos g groups
+
+let prop_gprune_oracle =
+  QCheck.Test.make ~name:"grammar pruning = conflict-table oracle (both domains)"
+    ~count:300
+    QCheck.(pair bool (int_bound 1_000_000))
+    (fun (am, seed) ->
+      let o = Lazy.force (if am then am_oracle else te_oracle) in
+      matches_oracle o.og (draw_groups o (Random.State.make [| seed |])))
+
+(* The case a plain path cannot reach: one candidate leaving a grammar
+   node through two different productions. Each such ASTMatcher walk must
+   conflict with both of its own segments, whichever group comes first. *)
+let test_gprune_oracle_walks () =
+  let o = Lazy.force am_oracle in
+  let two_prods_at_a_node (p : Gpath.t) =
+    let prods = Hashtbl.create 16 in
+    Array.iter
+      (fun eid ->
+        let e = Ggraph.edge o.og eid in
+        Hashtbl.replace prods (e.Ggraph.src, e.Ggraph.prod) ())
+      p.Gpath.edges;
+    let nodes = Hashtbl.to_seq_keys prods |> Seq.map fst |> List.of_seq in
+    List.length nodes > List.length (List.sort_uniq compare nodes)
+  in
+  let seen = ref 0 in
+  for seed = 0 to 199 do
+    let st = Random.State.make [| seed |] in
+    let a = o.govs.(Random.State.int st (Array.length o.govs)) in
+    match draw_step o st a with
+    | None -> ()
+    | Some p -> (
+        match draw_step o st (Gpath.bottom p) with
+        | Some q when two_prods_at_a_node (walk p q) ->
+            incr seen;
+            let w = walk p q in
+            List.iter
+              (fun groups ->
+                let groups = number_groups groups in
+                let survivors, _ =
+                  Gprune.combos (Gprune.prepare o.og (List.concat groups)) ~enabled:true groups
+                in
+                Alcotest.(check bool)
+                  (Printf.sprintf "seed %d: walk vs segment" seed)
+                  true (matches_oracle o.og groups);
+                Alcotest.(check int)
+                  (Printf.sprintf "seed %d: walk conflicts with its segment" seed)
+                  0 (List.length survivors))
+              [ [ [ w ]; [ p ] ]; [ [ p ]; [ w ] ]; [ [ w ]; [ q ] ]; [ [ q ]; [ w ] ] ]
+        | _ -> ())
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "some walks leave a node through two productions (%d)" !seen)
+    true (!seen > 0)
+
 (* CGT merging is commutative and associative in its effect. *)
 let prop_cgt_merge_acI =
   QCheck.Test.make ~name:"CGT merge is commutative/associative/idempotent"
@@ -301,4 +472,6 @@ let suite =
       prop_engine_deterministic;
       prop_stream_equivalent;
       prop_expr_print_parse;
+      prop_gprune_oracle;
     ]
+  @ [ Alcotest.test_case "gprune oracle: recursive walks" `Quick test_gprune_oracle_walks ]

@@ -157,6 +157,36 @@ let test_budget_exhaustion_ladder () =
           reference.Engine.code o.Engine.code)
     [ 1; 2; 5; 10; 50; 100; 1000; 100_000 ]
 
+(* The request deadline holds on every ASTMatcher query: under a 0.02 s
+   budget each query answers or reports a timeout within budget + 250 ms
+   of wall time. The slack covers WordToAPI, which still cannot be
+   interrupted mid-stage (it scans the whole document per word), so the
+   tighter budget + 50 ms bound stays open until that stage checks the
+   budget too. *)
+let test_am_deadline () =
+  let budget = 0.02 and slack = 0.25 in
+  let ses =
+    Dggt_domains.Domain.configure Dggt_domains.Astmatcher.domain
+      { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some budget }
+  in
+  List.iter
+    (fun (q : Dggt_domains.Domain.query) ->
+      let t0 = Unix.gettimeofday () in
+      let o =
+        Engine.respond ses
+          { Engine.input = Engine.Text q.Dggt_domains.Domain.text; mode = Engine.Plain }
+      in
+      let wall = Unix.gettimeofday () -. t0 in
+      check_b
+        (Printf.sprintf "query %d answers or times out" q.Dggt_domains.Domain.id)
+        true
+        (o.Engine.code <> None || o.Engine.timed_out);
+      if wall > budget +. slack then
+        Alcotest.failf "query %d (%S) took %.0f ms under a %.0f ms budget"
+          q.Dggt_domains.Domain.id q.Dggt_domains.Domain.text (wall *. 1000.)
+          (budget *. 1000.))
+    Dggt_domains.Astmatcher.domain.Dggt_domains.Domain.queries
+
 let test_hisyn_budget_ladder () =
   let tgt = Engine.target (Lazy.force graph) (Lazy.force doc) in
   let q = "insert \"-\" at the start" in
@@ -252,4 +282,5 @@ let suite =
     Alcotest.test_case "absurd inputs are total" `Quick test_absurd_inputs_total;
     Alcotest.test_case "empty document" `Quick test_empty_document;
     Alcotest.test_case "doc/grammar mismatch" `Quick test_doc_grammar_mismatch;
+    Alcotest.test_case "ASTMatcher deadline" `Quick test_am_deadline;
   ]
