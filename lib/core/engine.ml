@@ -108,10 +108,7 @@ let absorb_modifiers doc (dg : Depgraph.t) w2a =
     | Some e -> e.Apidoc.pos_pref = Apidoc.Nounish
     | None -> false
   in
-  let has_noun_marks =
-    List.exists (fun (e : Apidoc.entry) -> e.Apidoc.pos_pref = Apidoc.Nounish)
-      (Apidoc.entries doc)
-  in
+  let has_noun_marks = Apidoc.has_noun_apis doc in
   List.fold_left
     (fun (dg, w2a) (e : Depgraph.edge) ->
       match e.Depgraph.label with
@@ -243,7 +240,7 @@ let front cfg tgt stats (pruned : Depgraph.t) =
     Trace.span tr "WordToAPI" (fun sp ->
         let w2a =
           Word2api.build ~top_k:max_int ~threshold:cfg.threshold
-            ?lookup:tgt.caches.word2api tgt.doc pruned
+            ?lookup:tgt.caches.word2api ?trace:sp tgt.doc pruned
         in
         let absorbed, w2a = absorb_modifiers tgt.doc pruned w2a in
         trace_dropped sp "absorbed_modifiers" pruned absorbed;

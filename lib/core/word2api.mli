@@ -1,9 +1,17 @@
 (** Step 3: WordToAPI — candidate APIs for each query word.
 
     Each surviving word of the pruned dependency graph is scored against
-    every API's keywords ({!Dggt_nlu.Similarity}); the top-[k] APIs above
-    the score threshold become the word's candidates. Literal tokens map to
+    the API keywords ({!Dggt_nlu.Similarity}); the top-[k] APIs above the
+    score threshold become the word's candidates. Literal tokens map to
     the domain's literal-bearing APIs (STRING/NUMBER-like).
+
+    Only the keywords a word can score above 0 are scored: the document's
+    keyword index ({!Apidoc.section-index}) yields a superset of them
+    (equal word, equal stem, synonyms, synonyms of the stem, stems of the
+    synonyms, and same-initial keywords within the edit-distance length
+    band), each is scored with {!Dggt_nlu.Similarity.word_score}, and the
+    postings raise the scores of the entries using it. The result is the
+    full scan's, byte for byte, including ties and [top_k] cuts.
 
     The candidate fan-out is the p_l of the paper's complexity analysis:
     raising [top_k] grows the search space of both engines. *)
@@ -25,6 +33,7 @@ val build :
     pos:Dggt_nlu.Pos.t ->
     (unit -> candidate list) ->
     candidate list) ->
+  ?trace:Dggt_obs.Trace.span ->
   Apidoc.t ->
   Dggt_nlu.Depgraph.t ->
   t
@@ -39,7 +48,12 @@ val build :
     the POS tag and the document, so results are reusable across queries.
     The cache key must also distinguish anything that changes scoring:
     the document, [top_k] and [threshold] (the server keys per domain and
-    uses one fixed configuration per domain). *)
+    uses one fixed configuration per domain).
+
+    [trace] receives two counters summed over the words actually scored
+    (a [lookup] hit scores nothing): [keywords_scored], the
+    {!Dggt_nlu.Similarity.word_score} calls, and [entries_touched], the
+    entries some keyword raised above 0. *)
 
 val candidates : t -> int -> candidate list
 (** Candidates of a dependency-graph node id ([] if none). *)

@@ -2,6 +2,7 @@ open Dggt_util
 
 let typo_threshold = 0.65
 let min_score = 0.5
+let typo_min_length = 5
 
 let word_score a b =
   if a = b then 1.0
@@ -13,7 +14,11 @@ let word_score a b =
       Synonyms.share_ring sa b || Synonyms.share_ring a sb
       || List.exists (fun syn -> Porter.stem syn = sb) (Synonyms.related a)
     then 0.8
-    else if String.length a >= 5 && String.length b >= 5 && a.[0] = b.[0] then begin
+    else if
+      String.length a >= typo_min_length
+      && String.length b >= typo_min_length
+      && a.[0] = b.[0]
+    then begin
       (* Typo backoff: transposition-style typos score Levenshtein 2, so a
          6-letter word has similarity 0.67 — the threshold must sit below
          that. Requiring length >= 5 and an equal first letter keeps short

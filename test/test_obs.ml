@@ -195,6 +195,38 @@ let test_explain_astmatcher () =
   in
   check_narrative "ASTMatcher" out o.Engine.code
 
+(* WordToAPI reports how much of the document its keyword index made it
+   score: both counters are positive, bounded by the full scan's work,
+   and rendered by [dggt explain]. *)
+let test_explain_word2api_counters () =
+  let dom = Dggt_domains.Astmatcher.domain in
+  let q = "find all binary operators named \"*\"" in
+  let ses =
+    Dggt_domains.Domain.configure dom
+      { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some 20.0 }
+  in
+  let sink = Trace.create () in
+  ignore (Engine.run (Engine.with_cfg (fun c -> { c with Engine.trace = Some sink }) ses) q);
+  let ev = Option.get (Trace.find (Trace.result sink) "WordToAPI") in
+  let counter k =
+    match List.assoc_opt k ev.Trace.notes with
+    | Some (Trace.Int n) -> n
+    | _ -> Alcotest.failf "WordToAPI span has no %s counter" k
+  in
+  let doc = Lazy.force dom.Dggt_domains.Domain.doc in
+  let words = List.length (Dggt_nlu.Depparser.parse q).Dggt_nlu.Depgraph.nodes in
+  let scored = counter "keywords_scored" and touched = counter "entries_touched" in
+  check_b "keywords scored" true (scored > 0);
+  check_b "fewer than every keyword per word" true
+    (scored < words * Dggt_core.Apidoc.keyword_count doc);
+  check_b "entries touched" true
+    (touched > 0 && touched <= words * Dggt_core.Apidoc.size doc);
+  let _, out = explain dom q in
+  List.iter
+    (fun k ->
+      check_b ("explain shows " ^ k) true (Dggt_util.Strutil.contains_sub ~sub:k out))
+    [ "keywords_scored"; "entries_touched" ]
+
 let suite =
   [
     Alcotest.test_case "span nesting and order" `Quick test_span_nesting;
@@ -209,4 +241,5 @@ let suite =
     Alcotest.test_case "traced = untraced" `Quick test_traced_equals_untraced;
     Alcotest.test_case "explain TextEditing e2e" `Quick test_explain_text_editing;
     Alcotest.test_case "explain ASTMatcher e2e" `Quick test_explain_astmatcher;
+    Alcotest.test_case "explain WordToAPI counters" `Quick test_explain_word2api_counters;
   ]

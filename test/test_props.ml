@@ -460,6 +460,137 @@ let prop_expr_print_parse =
       | Ok e' -> Tree2expr.equal e e'
       | Error _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* WordToAPI: keyword index = full scan                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The full scan WordToAPI ran before the keyword index, kept verbatim as
+   the oracle: every word against every entry's keywords. The scan is
+   computed once per word; POS classes and thresholds derive from it. *)
+let oracle_desc_factor = 0.92
+let oracle_penalty api = 0.001 *. float_of_int (String.length api)
+
+let oracle_scan doc lemma =
+  List.map
+    (fun (e : Apidoc.entry) ->
+      ( e,
+        Nlu.Similarity.best_against lemma e.Apidoc.name_keywords,
+        oracle_desc_factor *. Nlu.Similarity.best_against lemma e.Apidoc.keywords ))
+    (Apidoc.entries doc)
+
+let oracle_rank scan ~threshold (pos : Nlu.Pos.t) =
+  List.filter_map
+    (fun ((e : Apidoc.entry), name_s, desc_s) ->
+      let admissible =
+        match e.Apidoc.pos_pref with
+        | Apidoc.Any -> true
+        | Apidoc.Verbish -> not (Nlu.Pos.is_noun pos)
+        | Apidoc.Nounish -> not (Nlu.Pos.is_verb pos)
+      in
+      if not admissible then None
+      else
+        let name_s = if pos = Nlu.Pos.DT then 0.0 else name_s in
+        let s = Float.max name_s desc_s in
+        let s = if s > 0.0 then s -. oracle_penalty e.Apidoc.api else 0.0 in
+        if s >= threshold then Some { Word2api.api = e.Apidoc.api; score = s }
+        else None)
+    scan
+  |> List.sort (fun (a : Word2api.candidate) (b : Word2api.candidate) ->
+         match compare b.Word2api.score a.Word2api.score with
+         | 0 -> compare a.Word2api.api b.Word2api.api
+         | c -> c)
+
+(* The exact words, the near-misses every tier is built for (inflections,
+   typos that keep the first letter), over both built-in vocabularies and
+   the synonym lexicon. *)
+let w2a_words docs =
+  let mutations k =
+    let n = String.length k in
+    let shift c = if c >= 'a' && c < 'z' then Char.chr (Char.code c + 1) else 'a' in
+    [ k; k ^ "s"; k ^ "ing"; k ^ "ed" ]
+    @ (if n >= 2 then
+         [ String.sub k 0 (n - 1); String.sub k 0 (n - 1) ^ String.make 1 (shift k.[n - 1]) ]
+       else [])
+    @
+    if n >= 4 then
+      [ String.init n (fun i -> if i = 1 then k.[2] else if i = 2 then k.[1] else k.[i]) ]
+    else []
+  in
+  let keywords doc =
+    List.concat_map
+      (fun (e : Apidoc.entry) -> e.Apidoc.name_keywords @ e.Apidoc.keywords)
+      (Apidoc.entries doc)
+  in
+  let words ws =
+    List.concat_map mutations ws |> List.filter (fun w -> w <> "") |> List.sort_uniq compare
+  in
+  (words (List.concat_map keywords docs), words (List.concat Nlu.Synonyms.rings))
+
+let rec find_packs d =
+  let packs = Filename.concat d "examples/packs" in
+  if Sys.file_exists (Filename.concat packs "astmatcher") then Some packs
+  else
+    let p = Filename.dirname d in
+    if p = d then None else find_packs p
+
+(* Indexed WordToAPI equals the full scan on every (word, POS, threshold)
+   over both built-in documents and both example packs' documents: whole
+   candidate lists, so score ties and every top_k cut agree too. A seeded
+   sample of the words by default; all of them under DGGT_GOLDEN_FULL=1. *)
+let test_w2a_index_equivalence () =
+  let builtins =
+    [ ("te", Lazy.force Dggt_domains.Text_editing.domain.Dggt_domains.Domain.doc);
+      ("am", Lazy.force Dggt_domains.Astmatcher.domain.Dggt_domains.Domain.doc) ]
+  in
+  let packs =
+    match find_packs (Sys.getcwd ()) with
+    | None -> [] (* not running from a checkout *)
+    | Some dir ->
+        List.map
+          (fun sub ->
+            match Dggt_pack.Loader.load (Filename.concat dir sub) with
+            | Ok l -> ("pack " ^ sub, Lazy.force l.Dggt_pack.Loader.domain.Dggt_domains.Domain.doc)
+            | Error e -> Alcotest.fail (Dggt_pack.Err.to_string e))
+          [ "textediting"; "astmatcher" ]
+  in
+  let doc_words, ring_words = w2a_words (List.map snd builtins) in
+  let words =
+    if Sys.getenv_opt "DGGT_GOLDEN_FULL" = Some "1" then
+      List.sort_uniq compare (doc_words @ ring_words)
+    else
+      (* the synonym tiers need ring members: sample both halves *)
+      let rng = Random.State.make [| 0x1dec5 |] in
+      let sample n ws =
+        let a = Array.of_list ws in
+        List.init n (fun _ -> a.(Random.State.int rng (Array.length a)))
+      in
+      sample 30 doc_words @ sample 30 ring_words
+  in
+  let one_word w pos =
+    {
+      Nlu.Depgraph.nodes = [ { Nlu.Depgraph.id = 0; text = w; lemma = w; pos; lit = None } ];
+      edges = [];
+      root = 0;
+    }
+  in
+  List.iter
+    (fun (name, doc) ->
+      List.iter
+        (fun w ->
+          let scan = oracle_scan doc w in
+          List.iter
+            (fun pos ->
+              List.iter
+                (fun threshold ->
+                  let w2a = Word2api.build ~top_k:max_int ~threshold doc (one_word w pos) in
+                  if Word2api.candidates w2a 0 <> oracle_rank scan ~threshold pos then
+                    Alcotest.failf "%s: %S as %s at threshold %g differs from the full scan"
+                      name w (Nlu.Pos.to_string pos) threshold)
+                [ Nlu.Similarity.min_score; 0.0; 0.9 ])
+            Nlu.Pos.[ NN; VB; DT; JJ ])
+        words)
+    (builtins @ packs)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -474,4 +605,6 @@ let suite =
       prop_expr_print_parse;
       prop_gprune_oracle;
     ]
-  @ [ Alcotest.test_case "gprune oracle: recursive walks" `Quick test_gprune_oracle_walks ]
+  @ [ Alcotest.test_case "gprune oracle: recursive walks" `Quick test_gprune_oracle_walks;
+      Alcotest.test_case "WordToAPI index = full-scan oracle (sampled; DGGT_GOLDEN_FULL=1 for all)"
+        `Quick test_w2a_index_equivalence ]
