@@ -1896,6 +1896,33 @@ let synth_once (dom : Domain.t) alg text =
     ignore
       (Engine.respond ses { Engine.input = Engine.Text text; mode = Engine.Plain })
 
+(* Real PathMerge candidates for [q]: the CGT of every choice the walk
+   kept in its dynamic grammar graph (well-formed), and the union of each
+   with the next (mostly rejected, as most checked candidates are). *)
+let walk_cgts (dom : Domain.t) q =
+  let ses =
+    Domain.configure dom
+      { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some 20.0 }
+  in
+  let kept = ref [] in
+  let merge ~budget ~stats ~gprune ~sprune ?trace g dg w2a e2p =
+    let res, dyng =
+      Dggt.synthesize_with_graph ~budget ~stats ~gprune ~sprune ?trace g dg w2a e2p
+    in
+    Dgg.nodes dyng
+    |> List.iter (fun n ->
+           List.iter (fun (c : Semiring.cand) -> kept := c.Semiring.cgt :: !kept)
+             (Dgg.choices n));
+    res
+  in
+  ignore (Engine.synthesize_with_merge ~merge ses.Engine.cfg ses.Engine.target q);
+  let rec fused = function
+    | a :: (b :: _ as rest) -> Cgt.merge a b :: fused rest
+    | _ -> []
+  in
+  let kept = List.rev !kept in
+  kept @ fused kept
+
 let micro_tests () =
   let te = Text_editing.domain and am = Astmatcher.domain in
   let te_q = "Append \":\" in every line containing numerals." in
@@ -1936,6 +1963,14 @@ let micro_tests () =
           let dg = Queryprune.prune (Dggt_nlu.Depparser.parse te_q) in
           let w2a = Word2api.build doc dg in
           fun () -> ignore (Edge2path.build ~autom g dg w2a)));
+    (* PathMerge's inner step: the well-formedness + size check of every
+       candidate CGT, here over one ASTMatcher query's real candidates *)
+    Test.make ~name:"cgt/well_formed"
+      (Staged.stage
+         (let g = Lazy.force am.Domain.graph in
+          let cgts = walk_cgts am am_q in
+          let s = Cgt.scratch g in
+          fun () -> List.iter (fun c -> ignore (Cgt.check s c)) cgts));
   ]
 
 let run_micro () =

@@ -26,74 +26,112 @@ let compare a b =
   | 0 -> IS.compare a.lone b.lone
   | c -> c
 
-let node_set g t =
-  IS.fold
-    (fun eid acc ->
-      let e = Ggraph.edge g eid in
-      IS.add e.Ggraph.src (IS.add e.Ggraph.dst acc))
-    t.edges t.lone
+(* Scratch for [scan], indexed by grammar node id. A node's [parent] and
+   [prod] entries belong to the current scan only while [seen] holds the
+   scan's stamp (or, during the cycle check, a chain id above it); a new
+   scan takes a fresh stamp instead of clearing anything. *)
+type scratch = {
+  g : Ggraph.t;
+  seen : int array;
+  parent : int array;  (* the node's parent in the CGT; -1 for none *)
+  prod : int array;    (* production of the node's outgoing edges; -1 for none *)
+  touched : int array; (* the nodes the current scan met, as a prefix *)
+  mutable clock : int; (* last stamp or chain id handed out *)
+}
 
-let nodes g t = IS.elements (node_set g t)
+let scratch g =
+  let n = Ggraph.node_count g in
+  {
+    g;
+    seen = Array.make n 0;
+    parent = Array.make n (-1);
+    prod = Array.make n (-1);
+    touched = Array.make n 0;
+    clock = 0;
+  }
 
-let api_size g t =
-  IS.fold
-    (fun nid acc -> if Ggraph.is_api g nid then acc + 1 else acc)
-    (node_set g t) 0
+exception Reject
 
-let in_degree g t nid =
-  IS.fold
-    (fun eid acc -> if (Ggraph.edge g eid).Ggraph.dst = nid then acc + 1 else acc)
-    t.edges 0
-
-let roots_of g t =
-  IS.filter (fun nid -> in_degree g t nid = 0) (node_set g t)
-
-let is_tree g t =
-  if is_empty t then true
-  else begin
-    let ns = node_set g t in
-    let roots = roots_of g t in
-    if IS.cardinal roots <> 1 then false
-    else if not (IS.for_all (fun nid -> in_degree g t nid <= 1) ns) then false
-    else begin
-      (* in-degree <= 1 with a single root still admits a disjoint cycle
-         component (all in-degree 1); demand reachability from the root. *)
-      let seen = Hashtbl.create 16 in
-      let rec dfs nid =
-        if not (Hashtbl.mem seen nid) then begin
-          Hashtbl.add seen nid ();
-          IS.iter
-            (fun eid ->
-              let e = Ggraph.edge g eid in
-              if e.Ggraph.src = nid then dfs e.Ggraph.dst)
-            t.edges
-        end
-      in
-      dfs (IS.choose roots);
-      IS.for_all (Hashtbl.mem seen) ns
+(* One pass over the edges. [tree] rejects a second parent, [grammar] a
+   second outgoing production. With every in-degree at most 1, the nodes
+   without a parent number |V| - |E|, so |E| = |V| - 1 leaves exactly one
+   root, and the CGT is a tree unless some parent chain loops. Returns the
+   number of API nodes, or -1 when a requested check fails. *)
+let scan s ~tree ~grammar t =
+  let g = s.g in
+  s.clock <- s.clock + 1;
+  let stamp = s.clock in
+  let nv = ref 0 and ne = ref 0 and apis = ref 0 in
+  let touch n =
+    if s.seen.(n) <> stamp then begin
+      s.seen.(n) <- stamp;
+      s.parent.(n) <- -1;
+      s.prod.(n) <- -1;
+      s.touched.(!nv) <- n;
+      incr nv;
+      if Ggraph.is_api g n then incr apis
     end
-  end
-
-let is_grammar_valid g t =
-  let prods : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  try
+  in
+  (* each chain marks its nodes with a fresh id above [stamp]: meeting the
+     current id again is a loop, meeting an older one joins a chain
+     already known to end at the root *)
+  let acyclic () =
+    let ok = ref true and i = ref 0 in
+    while !ok && !i < !nv do
+      let v = s.touched.(!i) in
+      if s.seen.(v) = stamp then begin
+        s.clock <- s.clock + 1;
+        let chain = s.clock in
+        let u = ref v in
+        while !u >= 0 && s.seen.(!u) = stamp do
+          s.seen.(!u) <- chain;
+          u := s.parent.(!u)
+        done;
+        if !u >= 0 && s.seen.(!u) = chain then ok := false
+      end;
+      incr i
+    done;
+    !ok
+  in
+  match
     IS.iter
       (fun eid ->
         let e = Ggraph.edge g eid in
-        match Hashtbl.find_opt prods e.Ggraph.src with
-        | Some p when p <> e.Ggraph.prod -> raise Exit
-        | Some _ -> ()
-        | None -> Hashtbl.add prods e.Ggraph.src e.Ggraph.prod)
+        let src = e.Ggraph.src and dst = e.Ggraph.dst in
+        touch src;
+        touch dst;
+        incr ne;
+        if tree then begin
+          if s.parent.(dst) >= 0 then raise_notrace Reject;
+          s.parent.(dst) <- src
+        end;
+        if grammar then begin
+          let p = s.prod.(src) in
+          if p < 0 then s.prod.(src) <- e.Ggraph.prod
+          else if p <> e.Ggraph.prod then raise_notrace Reject
+        end)
       t.edges;
-    true
-  with Exit -> false
+    IS.iter touch t.lone
+  with
+  | exception Reject -> -1
+  | () ->
+      if tree && !nv > 0 && (!ne <> !nv - 1 || not (acyclic ())) then -1
+      else !apis
 
-let well_formed g t = is_tree g t && is_grammar_valid g t
+let check s t =
+  match scan s ~tree:true ~grammar:true t with -1 -> None | n -> Some n
+
+let api_size g t = scan (scratch g) ~tree:false ~grammar:false t
+let is_tree g t = scan (scratch g) ~tree:true ~grammar:false t >= 0
+let is_grammar_valid g t = scan (scratch g) ~tree:false ~grammar:true t >= 0
+let well_formed g t = Option.is_some (check (scratch g) t)
 
 let root g t =
-  if is_empty t then None
-  else if not (is_tree g t) then None
-  else IS.choose_opt (roots_of g t)
+  let s = scratch g in
+  if is_empty t || scan s ~tree:true ~grammar:false t < 0 then None
+  else
+    let rec up n = match s.parent.(n) with -1 -> n | p -> up p in
+    Some (up s.touched.(0))
 
 let pp g fmt t =
   Format.fprintf fmt "CGT{%s}"

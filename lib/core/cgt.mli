@@ -26,9 +26,28 @@ val mem_edge : t -> int -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-val nodes : Dggt_grammar.Ggraph.t -> t -> int list
 val api_size : Dggt_grammar.Ggraph.t -> t -> int
 (** Number of distinct API nodes covered. *)
+
+(** {2 Well-formedness}
+
+    All the checks below are one pass over the CGT's edges: each node's
+    parent and outgoing production are recorded, and the pass stops at
+    the first node with a second parent or a second production. With
+    every in-degree at most 1, [|E| = |V| - 1] means a single root, and
+    the CGT is then a tree unless a parent chain loops. *)
+
+type scratch
+(** Arrays indexed by grammar node id, stamped per check so they are
+    never cleared. A scratch belongs to one walk (one synthesis run): it
+    is mutable and must not be shared between concurrent runs. *)
+
+val scratch : Dggt_grammar.Ggraph.t -> scratch
+
+val check : scratch -> t -> int option
+(** [check (scratch g) t] is [Some (api_size g t)] when
+    [well_formed g t], [None] otherwise: the candidate check of both
+    synthesis engines. *)
 
 val is_tree : Dggt_grammar.Ggraph.t -> t -> bool
 val is_grammar_valid : Dggt_grammar.Ggraph.t -> t -> bool

@@ -57,6 +57,9 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
     ?(on_improve : (Semiring.cand -> unit) option) g (dg : Depgraph.t) w2a e2p =
   let dyng = Dgg.create objective in
   let start = Dgg.start dyng in
+  (* this walk's own: concurrent walks on one graph each get a scratch *)
+  let cgts = Cgt.scratch g in
+  let cgt_checks = ref 0 and gprune_visits = ref 0 in
   let lemma_of id =
     match Depgraph.node_opt dg id with
     | Some n -> n.Depgraph.lemma
@@ -188,7 +191,6 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
         | Some child when Dgg.solved child -> Dgg.size child - 1
         | _ -> 0
       in
-      let pruner = Gprune.prepare g all_paths in
       List.iter
         (fun a ->
           let groups =
@@ -209,7 +211,8 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
             let case_ii = List.length groups > 1 in
             (* grammar-based pruning happens inside combination generation *)
             let survivors, total =
-              Gprune.combos ~budget pruner ~enabled:(gprune && case_ii) groups
+              Gprune.combos ~budget ~visits:gprune_visits g
+                ~enabled:(gprune && case_ii) groups
             in
             let after_gprune = List.length survivors in
             if case_ii then begin
@@ -267,10 +270,17 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
                 in
                 let merged = acc.Semiring.cgt in
                 let assignment = (id, a) :: acc.Semiring.assignment in
-                if ok && Synres.injective assignment && Cgt.well_formed g merged
-                then begin
+                let checked =
+                  if ok && Synres.injective assignment then begin
+                    incr cgt_checks;
+                    Cgt.check cgts merged
+                  end
+                  else None
+                in
+                match checked with
+                | None -> ()
+                | Some size ->
                   merged_any := true;
-                  let size = Cgt.api_size g merged in
                   let score = Word2api.assignment_score w2a assignment in
                   let cand = { Semiring.size; cgt = merged; assignment; score } in
                   let target = get_api_node () in
@@ -310,7 +320,6 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
                     Trace.int trace
                       (Printf.sprintf "min_size %s:%s" (lemma_of id) a)
                       size
-                end
             in
             List.iteri try_combo survivors;
             if not !merged_any then
@@ -340,7 +349,9 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
           (List.length (Dgg.api_nodes_of_dep dyng n.Depgraph.id)))
       order;
     Trace.int trace "dgg_nodes" (Dgg.node_count dyng);
-    Trace.int trace "dgg_edges" (Dgg.edge_count dyng)
+    Trace.int trace "dgg_edges" (Dgg.edge_count dyng);
+    Trace.int trace "cgt_checks" !cgt_checks;
+    Trace.int trace "gprune_visits" !gprune_visits
   end;
 
   (* the optimal CGT backtrack: the root word's best API node *)

@@ -8,8 +8,6 @@ open Dggt_grammar
    that touches [node] at all. *)
 let mixed = -1
 
-type t = { sigs : (int, (int * int) array) Hashtbl.t }
-
 let signature g (p : Gpath.t) =
   let rec drop n = function (m, _) :: rest when m = n -> drop n rest | l -> l in
   let rec collapse = function
@@ -22,14 +20,6 @@ let signature g (p : Gpath.t) =
          let e = Ggraph.edge g eid in
          (e.Ggraph.src, e.Ggraph.prod))
   |> List.sort_uniq compare |> collapse |> Array.of_list
-
-let prepare g epaths =
-  let sigs = Hashtbl.create 64 in
-  List.iter
-    (fun (p : Edge2path.epath) ->
-      Hashtbl.replace sigs p.Edge2path.id (signature g p.Edge2path.path))
-    epaths;
-  { sigs }
 
 (* The bound paths' productions, as a node -> production multiset kept
    with [Hashtbl.add]/[Hashtbl.remove]: binding and unbinding follow the
@@ -47,29 +37,28 @@ let fits bound s =
 let bind bound s = Array.iter (fun (n, a) -> Hashtbl.add bound n a) s
 let unbind bound s = Array.iter (fun (n, _) -> Hashtbl.remove bound n) s
 
-let combos ?budget t ~enabled groups =
+let combos ?budget ?visits g ~enabled groups =
   let total = Listutil.cartesian_count groups in
   let out = ref [] in
-  (* Case I (~enabled:false) builds no multiset *)
-  let bound = if enabled then Some (Hashtbl.create 64) else None in
+  (* signatures only where they are checked: Case I (~enabled:false)
+     reads none, so its multiset stays empty *)
+  let signed (p : Edge2path.epath) =
+    (p, if enabled then signature g p.Edge2path.path else [||])
+  in
+  let bound = Hashtbl.create (if enabled then 64 else 1) in
   let rec go acc = function
     | [] -> out := List.rev acc :: !out
-    | g :: rest ->
+    | grp :: rest ->
         List.iter
-          (fun (p : Edge2path.epath) ->
+          (fun (p, s) ->
             (match budget with Some b -> Budget.check b | None -> ());
-            match bound with
-            | None -> go (p :: acc) rest
-            | Some bound ->
-                let s =
-                  Option.value (Hashtbl.find_opt t.sigs p.Edge2path.id) ~default:[||]
-                in
-                if fits bound s then begin
-                  bind bound s;
-                  go (p :: acc) rest;
-                  unbind bound s
-                end)
-          g
+            (match visits with Some v -> incr v | None -> ());
+            if fits bound s then begin
+              bind bound s;
+              go (p :: acc) rest;
+              unbind bound s
+            end)
+          grp
   in
-  go [] groups;
+  go [] (List.map (List.map signed) groups);
   (List.rev !out, total)

@@ -14,22 +14,17 @@
     node -> production multiset of the paths chosen so far and checks a
     candidate against it in O(|path|). *)
 
-type t
-
-val prepare : Dggt_grammar.Ggraph.t -> Edge2path.epath list -> t
-(** Read the signature of each given sibling-edge path off the grammar
-    graph. Paths are keyed by epath id; a path [combos] meets that was
-    not prepared conflicts with nothing. *)
-
 val combos :
   ?budget:Dggt_util.Budget.t ->
-  t ->
+  ?visits:int ref ->
+  Dggt_grammar.Ggraph.t ->
   enabled:bool ->
   Edge2path.epath list list ->
   Edge2path.epath list list * int
-(** [combos t ~enabled groups] enumerates one-path-per-group combinations,
+(** [combos g ~enabled groups] enumerates one-path-per-group combinations,
     skipping (when [enabled]) every combination containing a conflict pair.
     Returns the surviving combinations and the total combination count
-    before pruning (the product of group sizes, saturating). The budget is
-    ticked once per candidate path tried at each position. With
-    [~enabled:false] no multiset is built. *)
+    before pruning (the product of group sizes, saturating). Signatures
+    are read off [g] once per call, for the given paths only, and only
+    when [enabled]. The budget is ticked, and [visits] incremented, once
+    per candidate path tried at each position. *)

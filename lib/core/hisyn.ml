@@ -38,8 +38,9 @@ let synthesize ~budget ~stats ?(trace : Trace.span option) g
     stats.Stats.hisyn_combos_possible <- Listutil.cartesian_count groups;
     Trace.int trace "combos_possible" stats.Stats.hisyn_combos_possible;
     let best = ref None in
-    let consider cgt assignment =
-      let size = Cgt.api_size g cgt in
+    (* this run's own: concurrent runs on one graph each get a scratch *)
+    let cgts = Cgt.scratch g in
+    let consider cgt size assignment =
       let score = Word2api.assignment_score w2a assignment in
       match !best with
       | Some (bs, bscore, bcgt, _)
@@ -65,7 +66,9 @@ let synthesize ~budget ~stats ?(trace : Trace.span option) g
                   Cgt.merge_path acc p.Edge2path.path)
                 Cgt.empty combo
             in
-            if Cgt.well_formed g cgt then consider cgt assignment)
+            match Cgt.check cgts cgt with
+            | Some size -> consider cgt size assignment
+            | None -> ())
       groups;
     Trace.int trace "combos_enumerated" stats.Stats.hisyn_combos_enumerated;
     (if Trace.on trace then

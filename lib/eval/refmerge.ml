@@ -88,6 +88,8 @@ let singleton_cgt g api =
 let synthesize ~budget ~stats ~gprune ~sprune ?(trace : Trace.span option) g
     (dg : Depgraph.t) w2a e2p =
   let rg = mk_graph () in
+  let cgts = Cgt.scratch g in
+  let cgt_checks = ref 0 and gprune_visits = ref 0 in
   let lemma_of id =
     match Depgraph.node_opt dg id with
     | Some n -> n.Depgraph.lemma
@@ -180,7 +182,6 @@ let synthesize ~budget ~stats ~gprune ~sprune ?(trace : Trace.span option) g
         | Some child when set_ child -> child.min_size - 1
         | _ -> 0
       in
-      let pruner = Gprune.prepare g all_paths in
       List.iter
         (fun a ->
           let groups =
@@ -195,7 +196,8 @@ let synthesize ~budget ~stats ~gprune ~sprune ?(trace : Trace.span option) g
           if List.for_all (fun gp -> gp <> []) groups then begin
             let case_ii = List.length groups > 1 in
             let survivors, total =
-              Gprune.combos ~budget pruner ~enabled:(gprune && case_ii) groups
+              Gprune.combos ~budget ~visits:gprune_visits g
+                ~enabled:(gprune && case_ii) groups
             in
             let after_gprune = List.length survivors in
             if case_ii then begin
@@ -248,10 +250,17 @@ let synthesize ~budget ~stats ~gprune ~sprune ?(trace : Trace.span option) g
                   combo
               in
               let assignment = (id, a) :: assignment in
-              if ok && Synres.injective assignment && Cgt.well_formed g merged
-              then begin
+              let checked =
+                if ok && Synres.injective assignment then begin
+                  incr cgt_checks;
+                  Cgt.check cgts merged
+                end
+                else None
+              in
+              match checked with
+              | None -> ()
+              | Some size ->
                 merged_any := true;
-                let size = Cgt.api_size g merged in
                 let score = Word2api.assignment_score w2a assignment in
                 let target = get_api_node () in
                 if case_ii then begin
@@ -273,7 +282,6 @@ let synthesize ~budget ~stats ~gprune ~sprune ?(trace : Trace.span option) g
                   Trace.int trace
                     (Printf.sprintf "min_size %s:%s" (lemma_of id) a)
                     size
-              end
             in
             List.iteri try_combo survivors;
             if not !merged_any then
@@ -298,7 +306,9 @@ let synthesize ~budget ~stats ~gprune ~sprune ?(trace : Trace.span option) g
              (List.filter (fun (dep, _) -> dep = n.Depgraph.id) apis)))
       order;
     Trace.int trace "dgg_nodes" rg.node_count;
-    Trace.int trace "dgg_edges" rg.edge_count
+    Trace.int trace "dgg_edges" rg.edge_count;
+    Trace.int trace "cgt_checks" !cgt_checks;
+    Trace.int trace "gprune_visits" !gprune_visits
   end;
 
   let best =

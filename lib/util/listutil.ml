@@ -45,11 +45,15 @@ let take n xs =
   go n [] xs
 
 let uniq xs =
-  let rec go seen = function
-    | [] -> List.rev seen
-    | x :: rest -> if List.mem x seen then go seen rest else go (x :: seen) rest
-  in
-  go [] xs
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun x ->
+      if Hashtbl.mem seen x then false
+      else begin
+        Hashtbl.add seen x ();
+        true
+      end)
+    xs
 
 let max_by cmp = function
   | [] -> None

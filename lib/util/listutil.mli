@@ -20,7 +20,10 @@ val group_by : key:('a -> 'b) -> 'a list -> ('b * 'a list) list
     polymorphic equality. *)
 
 val take : int -> 'a list -> 'a list
-val uniq : 'a list -> 'a list (* stable, polymorphic equality *)
+val uniq : 'a list -> 'a list
+(** Drops repeats, keeping first occurrences in order; one hash lookup per
+    element. Elements are compared structurally, as {!Hashtbl} does. *)
+
 val max_by : ('a -> 'a -> int) -> 'a list -> 'a option
 val min_by : ('a -> 'a -> int) -> 'a list -> 'a option
 val sum_by : ('a -> int) -> 'a list -> int

@@ -437,7 +437,6 @@ let test_gprune_combos () =
       mk_epath 2 p_start "INSERT" "START" e_start;
     ]
   in
-  let t = Gprune.prepare g eps in
   (* long_string goes through POSITION, conflicting with START at pos *)
   let oracle =
     Pathvote.conflict_table g
@@ -445,13 +444,13 @@ let test_gprune_combos () =
   in
   check_b "conflict found" true (Hashtbl.mem oracle (1, 2));
   let groups = [ [ List.nth eps 0; List.nth eps 1 ]; [ List.nth eps 2 ] ] in
-  let survivors, total = Gprune.combos t ~enabled:true groups in
+  let survivors, total = Gprune.combos g ~enabled:true groups in
   check_i "total combos" 2 total;
   check_i "one survivor" 1 (List.length survivors);
   check_b "the survivor avoids the conflict pair" true
     (List.map (List.map (fun (p : Edge2path.epath) -> p.Edge2path.id)) survivors
      = [ [ 0; 2 ] ]);
-  let survivors_off, _ = Gprune.combos t ~enabled:false groups in
+  let survivors_off, _ = Gprune.combos g ~enabled:false groups in
   check_i "disabled keeps both" 2 (List.length survivors_off)
 
 (* ------------------------------------------------------------------ *)

@@ -227,6 +227,42 @@ let test_explain_word2api_counters () =
       check_b ("explain shows " ^ k) true (Dggt_util.Strutil.contains_sub ~sub:k out))
     [ "keywords_scored"; "entries_touched" ]
 
+(* PathMerge reports its CGT checks and the candidates grammar-based
+   pruning tried, summed over the walks of a query's relocation variants
+   (this query has sibling edges, so Case II runs): both positive, every
+   surviving combination was a tried candidate, and both rendered by
+   [dggt explain]. *)
+let test_explain_pathmerge_counters () =
+  let dom = Dggt_domains.Astmatcher.domain in
+  let q = "list all member access expressions" in
+  let ses =
+    Dggt_domains.Domain.configure dom
+      { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some 20.0 }
+  in
+  let sink = Trace.create () in
+  let o = Engine.run (Engine.with_cfg (fun c -> { c with Engine.trace = Some sink }) ses) q in
+  let ev = Option.get (Trace.find (Trace.result sink) "PathMerge") in
+  let counter k =
+    match
+      List.filter_map
+        (function k', Trace.Int n when k' = k -> Some n | _ -> None)
+        ev.Trace.notes
+    with
+    | [] -> Alcotest.failf "PathMerge span has no %s counter" k
+    | ns -> List.fold_left ( + ) 0 ns
+  in
+  let checks = counter "cgt_checks" and visits = counter "gprune_visits" in
+  let stats = o.Engine.stats in
+  check_b "Case II ran" true (stats.Dggt_core.Stats.combos_total > 0);
+  check_b "CGTs checked" true (checks > 0);
+  check_b "every surviving combination was tried" true
+    (visits > 0 && visits >= stats.Dggt_core.Stats.combos_after_gprune);
+  let _, out = explain dom q in
+  List.iter
+    (fun k ->
+      check_b ("explain shows " ^ k) true (Dggt_util.Strutil.contains_sub ~sub:k out))
+    [ "cgt_checks"; "gprune_visits" ]
+
 let suite =
   [
     Alcotest.test_case "span nesting and order" `Quick test_span_nesting;
@@ -242,4 +278,5 @@ let suite =
     Alcotest.test_case "explain TextEditing e2e" `Quick test_explain_text_editing;
     Alcotest.test_case "explain ASTMatcher e2e" `Quick test_explain_astmatcher;
     Alcotest.test_case "explain WordToAPI counters" `Quick test_explain_word2api_counters;
+    Alcotest.test_case "explain PathMerge counters" `Quick test_explain_pathmerge_counters;
   ]

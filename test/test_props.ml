@@ -140,9 +140,8 @@ let prop_gprune_lossless =
       let g2 = List.mapi (fun i p -> mk_epath (100 + i) p) ps2 in
       g1 = [] || g2 = []
       ||
-      let tbl = Gprune.prepare g (g1 @ g2) in
-      let survivors, total = Gprune.combos tbl ~enabled:true [ g1; g2 ] in
-      let all, _ = Gprune.combos tbl ~enabled:false [ g1; g2 ] in
+      let survivors, total = Gprune.combos g ~enabled:true [ g1; g2 ] in
+      let all, _ = Gprune.combos g ~enabled:false [ g1; g2 ] in
       let pruned =
         List.filter (fun c -> not (List.mem c survivors)) all
       in
@@ -258,7 +257,7 @@ let oracle_combos g groups =
     Pathvote.conflict_table g
       (List.map (fun (p : Edge2path.epath) -> (p.Edge2path.id, p.Edge2path.path)) eps)
   in
-  let all, total = Gprune.combos (Gprune.prepare g eps) ~enabled:false groups in
+  let all, total = Gprune.combos g ~enabled:false groups in
   let rec clean = function
     | [] -> true
     | p :: rest ->
@@ -269,7 +268,7 @@ let oracle_combos g groups =
 
 let matches_oracle g groups =
   let survivors, total =
-    Gprune.combos (Gprune.prepare g (List.concat groups)) ~enabled:true groups
+    Gprune.combos g ~enabled:true groups
   in
   (ids survivors, total) = oracle_combos g groups
 
@@ -311,7 +310,7 @@ let test_gprune_oracle_walks () =
               (fun groups ->
                 let groups = number_groups groups in
                 let survivors, _ =
-                  Gprune.combos (Gprune.prepare o.og (List.concat groups)) ~enabled:true groups
+                  Gprune.combos o.og ~enabled:true groups
                 in
                 Alcotest.(check bool)
                   (Printf.sprintf "seed %d: walk vs segment" seed)
@@ -591,6 +590,267 @@ let test_w2a_index_equivalence () =
         words)
     (builtins @ packs)
 
+(* ------------------------------------------------------------------ *)
+(* CGT well-formedness: one scan = the definitional checks            *)
+(* ------------------------------------------------------------------ *)
+
+(* The checks [Cgt] made before its one-scan rewrite, spelled out from the
+   definition and kept here only: in-degree per node, root count, a DFS
+   from the root, and a production table per source node. Quadratic, and
+   independent of [Cgt] (it reads the edge and lone-node lists the test
+   built the CGT from). *)
+type cgt_verdict = {
+  v_tree : bool;
+  v_valid : bool;
+  v_api_size : int;
+  v_root : int option;
+  v_roots : int;     (* nodes without an incoming edge *)
+  v_max_indeg : int;
+  v_spare : int;     (* |V| - |E| *)
+}
+
+let definitional_check g ~edges ~lone =
+  let edges = List.sort_uniq compare edges in
+  let es = List.map (Ggraph.edge g) edges in
+  let nodes =
+    List.sort_uniq compare
+      (lone @ List.concat_map (fun (e : Ggraph.edge) -> [ e.Ggraph.src; e.Ggraph.dst ]) es)
+  in
+  let in_degree n = List.length (List.filter (fun (e : Ggraph.edge) -> e.Ggraph.dst = n) es) in
+  let roots = List.filter (fun n -> in_degree n = 0) nodes in
+  let max_indeg = List.fold_left (fun m n -> max m (in_degree n)) 0 nodes in
+  let reaches_all r =
+    let seen = Hashtbl.create 16 in
+    let rec dfs n =
+      if not (Hashtbl.mem seen n) then begin
+        Hashtbl.add seen n ();
+        List.iter
+          (fun (e : Ggraph.edge) -> if e.Ggraph.src = n then dfs e.Ggraph.dst)
+          es
+      end
+    in
+    dfs r;
+    List.for_all (Hashtbl.mem seen) nodes
+  in
+  let tree =
+    nodes = []
+    || (match roots with [ r ] -> max_indeg <= 1 && reaches_all r | _ -> false)
+  in
+  let prods = Hashtbl.create 16 in
+  List.iter
+    (fun (e : Ggraph.edge) ->
+      let ps = Option.value (Hashtbl.find_opt prods e.Ggraph.src) ~default:[] in
+      if not (List.mem e.Ggraph.prod ps) then
+        Hashtbl.replace prods e.Ggraph.src (e.Ggraph.prod :: ps))
+    es;
+  {
+    v_tree = tree;
+    v_valid = Hashtbl.fold (fun _ ps ok -> ok && List.length ps <= 1) prods true;
+    v_api_size = List.length (List.filter (Ggraph.is_api g) nodes);
+    v_root = (if nodes <> [] && tree then Some (List.hd roots) else None);
+    v_roots = List.length roots;
+    v_max_indeg = max_indeg;
+    v_spare = List.length nodes - List.length edges;
+  }
+
+let cgt_of ~edges ~lone =
+  let one_path nodes edges = { Gpath.nodes; edges; apis = [||] } in
+  let t =
+    if edges = [] then Cgt.empty
+    else Cgt.merge_path Cgt.empty (one_path [||] (Array.of_list edges))
+  in
+  List.fold_left (fun t n -> Cgt.merge_path t (one_path [| n |] [||])) t lone
+
+(* BFS over edges: the edge ids of a shortest path from [a] to [b]. *)
+let shortest_edges g a b =
+  let prev = Hashtbl.create 64 in
+  let q = Queue.create () in
+  Hashtbl.replace prev a None;
+  Queue.add a q;
+  while (not (Queue.is_empty q)) && not (Hashtbl.mem prev b && b <> a) do
+    let n = Queue.pop q in
+    List.iter
+      (fun (e : Ggraph.edge) ->
+        if not (Hashtbl.mem prev e.Ggraph.dst) then begin
+          Hashtbl.replace prev e.Ggraph.dst (Some e);
+          Queue.add e.Ggraph.dst q
+        end)
+      (Ggraph.out_edges g n)
+  done;
+  let rec back n acc =
+    match Hashtbl.find_opt prev n with
+    | Some (Some (e : Ggraph.edge)) when n <> a -> back e.Ggraph.src (e.Ggraph.id :: acc)
+    | _ -> acc
+  in
+  if Hashtbl.mem prev b then Some (back b []) else None
+
+(* The graph's cycles through recursive nonterminals: for an edge u -> v
+   with a way back from v to u, that edge plus the shortest way back. *)
+let graph_cycles g =
+  Array.to_list (Array.init (Ggraph.edge_count g) (Ggraph.edge g))
+  |> List.filter_map (fun (e : Ggraph.edge) ->
+         if e.Ggraph.src = e.Ggraph.dst then Some [ e.Ggraph.id ]
+         else if Ggraph.distance g e.Ggraph.dst e.Ggraph.src = max_int then None
+         else
+           Option.map (fun back -> e.Ggraph.id :: back)
+             (shortest_edges g e.Ggraph.dst e.Ggraph.src))
+  |> List.sort_uniq compare |> Array.of_list
+
+(* A random tree grown from [r]: repeatedly hang an out-edge of a tree
+   node whose target is new, usually one of the production the node
+   already uses, so that most trees are grammar-valid. *)
+let grow_tree g st r =
+  let in_tree = Hashtbl.create 16 in
+  Hashtbl.replace in_tree r ();
+  let nodes = ref [ r ] and edges = ref [] in
+  let target = Random.State.int st 12 in
+  for _ = 1 to 4 * target do
+    if List.length !edges < target then begin
+      let n = pick st !nodes in
+      let used =
+        List.filter_map
+          (fun eid ->
+            let e = Ggraph.edge g eid in
+            if e.Ggraph.src = n then Some e.Ggraph.prod else None)
+          !edges
+      in
+      let fresh =
+        List.filter
+          (fun (e : Ggraph.edge) -> not (Hashtbl.mem in_tree e.Ggraph.dst))
+          (Ggraph.out_edges g n)
+      in
+      let same = List.filter (fun (e : Ggraph.edge) -> List.mem e.Ggraph.prod used) fresh in
+      let choice = if same <> [] && Random.State.int st 4 > 0 then same else fresh in
+      if choice <> [] then begin
+        let e = pick st choice in
+        Hashtbl.replace in_tree e.Ggraph.dst ();
+        nodes := e.Ggraph.dst :: !nodes;
+        edges := e.Ggraph.id :: !edges
+      end
+    end
+  done;
+  (!nodes, !edges)
+
+(* Variants of one grown tree that hit each way a CGT can fail. *)
+let cgt_variants g st cycles r =
+  let nodes, edges = grow_tree g st r in
+  let nn = Ggraph.node_count g in
+  let some_node () = Random.State.int st nn in
+  let out_of n = Ggraph.out_edges g n in
+  let cycle () =
+    if Array.length cycles = 0 then []
+    else cycles.(Random.State.int st (Array.length cycles))
+  in
+  let extra_edge keep =
+    match List.filter keep (List.concat_map out_of nodes) with
+    | [] -> []
+    | es -> [ (pick st es).Ggraph.id ]
+  in
+  let in_tree n = List.mem n nodes in
+  let used_prod n =
+    List.find_map
+      (fun eid ->
+        let e = Ggraph.edge g eid in
+        if e.Ggraph.src = n then Some e.Ggraph.prod else None)
+      edges
+  in
+  [
+    (edges, []);
+    (edges, [ pick st nodes ]);
+    (edges, [ some_node () ]);
+    ([], [ r ]);
+    ([], [ r; some_node () ]);
+    ([], []);
+    ((match edges with [] -> [] | _ :: rest -> rest), []);
+    (* a second parent, or a cycle through the tree *)
+    (edges @ extra_edge (fun e -> in_tree e.Ggraph.dst), []);
+    (* a second parent from outside the tree: |E| = |V| - 1 still holds *)
+    ( edges
+      @ (match
+           List.concat_map
+             (fun n ->
+               if n = r then []
+               else
+                 List.filter
+                   (fun (e : Ggraph.edge) -> not (in_tree e.Ggraph.src))
+                   (Ggraph.in_edges g n))
+             nodes
+         with
+        | [] -> []
+        | es -> [ (pick st es).Ggraph.id ]),
+      [] );
+    (* a source left through a second production *)
+    ( edges
+      @ extra_edge (fun e ->
+            match used_prod e.Ggraph.src with
+            | Some p -> p <> e.Ggraph.prod
+            | None -> false),
+      [] );
+    (* one root, in-degree <= 1 everywhere, plus a disjoint cycle *)
+    (edges @ cycle (), []);
+    (cycle (), []);
+    (cycle (), [ r ]);
+    (edges @ extra_edge (fun _ -> true) @ extra_edge (fun _ -> true), []);
+  ]
+
+(* [Cgt]'s one scan agrees with the definitional checks on random edge
+   subsets of both built-in graphs: trees grown from a seeded sample of
+   start nodes (three per node under DGGT_GOLDEN_FULL=1), each with variants
+   that add lone nodes, drop an edge, add a second parent, a second
+   production or a disjoint cycle. One scratch serves the whole sweep, so
+   stale stamps from earlier CGTs would show. *)
+let test_cgt_scan_oracle () =
+  let full = Sys.getenv_opt "DGGT_GOLDEN_FULL" = Some "1" in
+  let cases = Hashtbl.create 8 in
+  let seen k = Hashtbl.replace cases k (1 + Option.value (Hashtbl.find_opt cases k) ~default:0) in
+  List.iter
+    (fun (name, (dom : Dggt_domains.Domain.t)) ->
+      let g = Lazy.force dom.Dggt_domains.Domain.graph in
+      let cycles = graph_cycles g in
+      let st = Random.State.make [| 0xc67; Ggraph.node_count g |] in
+      let starts =
+        if full then List.concat (List.init 3 (fun _ -> List.init (Ggraph.node_count g) Fun.id))
+        else List.init 150 (fun _ -> Random.State.int st (Ggraph.node_count g))
+      in
+      let scratch = Cgt.scratch g in
+      List.iter
+        (fun r ->
+          List.iter
+            (fun (edges, lone) ->
+              let v = definitional_check g ~edges ~lone in
+              let t = cgt_of ~edges ~lone in
+              let wf = v.v_tree && v.v_valid in
+              let fail what =
+                Alcotest.failf "%s: %s differs on edges [%s] lone [%s]" name what
+                  (String.concat " " (List.map string_of_int edges))
+                  (String.concat " " (List.map string_of_int lone))
+              in
+              if Cgt.check scratch t <> (if wf then Some v.v_api_size else None) then
+                fail "check";
+              if Cgt.well_formed g t <> wf then fail "well_formed";
+              if Cgt.is_tree g t <> v.v_tree then fail "is_tree";
+              if Cgt.is_grammar_valid g t <> v.v_valid then fail "is_grammar_valid";
+              if Cgt.api_size g t <> v.v_api_size then fail "api_size";
+              if Cgt.root g t <> v.v_root then fail "root";
+              seen (if wf then "well-formed" else "rejected");
+              if v.v_tree && not v.v_valid then seen "tree, two productions";
+              if v.v_roots >= 2 then seen "two roots";
+              if v.v_roots = 0 && edges <> [] then seen "no root";
+              if v.v_max_indeg >= 2 then seen "second parent";
+              if v.v_max_indeg >= 2 && v.v_spare = 1 then seen "second parent, |E| = |V| - 1";
+              if v.v_roots = 1 && v.v_max_indeg <= 1 && not v.v_tree then
+                seen "one root, cycle";
+              if lone <> [] && edges <> [] then seen "edges and lone nodes")
+            (cgt_variants g st cycles r))
+        starts)
+    [ ("te", Dggt_domains.Text_editing.domain); ("am", Dggt_domains.Astmatcher.domain) ];
+  List.iter
+    (fun k ->
+      if not (Hashtbl.mem cases k) then Alcotest.failf "no %s case was generated" k)
+    [ "well-formed"; "rejected"; "tree, two productions"; "two roots"; "no root";
+      "second parent"; "second parent, |E| = |V| - 1"; "one root, cycle";
+      "edges and lone nodes" ]
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -607,4 +867,6 @@ let suite =
     ]
   @ [ Alcotest.test_case "gprune oracle: recursive walks" `Quick test_gprune_oracle_walks;
       Alcotest.test_case "WordToAPI index = full-scan oracle (sampled; DGGT_GOLDEN_FULL=1 for all)"
-        `Quick test_w2a_index_equivalence ]
+        `Quick test_w2a_index_equivalence;
+      Alcotest.test_case "CGT one scan = definitional checks (sampled; DGGT_GOLDEN_FULL=1 for all)"
+        `Quick test_cgt_scan_oracle ]
