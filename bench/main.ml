@@ -9,7 +9,6 @@
      dune exec bench/main.exe -- stages           # per-stage latency table
      dune exec bench/main.exe -- parallel         # batch queries/sec sweep
      dune exec bench/main.exe -- automaton        # DFS vs compiled automaton
-     dune exec bench/main.exe -- pathmerge        # reference vs semiring PathMerge
      dune exec bench/main.exe -- incremental      # as-you-type session replay
      dune exec bench/main.exe -- warmstart        # cold vs warm --store boot
      dune exec bench/main.exe -- --timeout 2 smoke  # reduced CI sweep
@@ -376,7 +375,11 @@ let run_incremental_domain ~timeout_s ~limit ~depth (dom : Domain.t) =
           let inc_s = Unix.gettimeofday () -. t0 in
           scratch_searches := 0;
           let t1 = Unix.gettimeofday () in
-          let o_full = Engine.synthesize base.Engine.cfg scratch_target text in
+          let o_full =
+            Engine.respond
+              { base with Engine.target = scratch_target }
+              { Engine.input = Engine.Text text; mode = Engine.Plain }
+          in
           let full_s = Unix.gettimeofday () -. t1 in
           let full_n = !scratch_searches in
           let inc_n = reuse.Dggt_inc.Reuse.pairs.Dggt_inc.Reuse.computed in
@@ -752,174 +755,9 @@ let run_automaton ~timeout_s ~limit () =
   if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Semiring PathMerge: the pre-semiring DFS-of-record walk (kept as   *)
-(* Dggt_eval.Refmerge) vs the generic Min_size chart over every       *)
-(* domain, byte-identity asserted per query — outcome, failure and    *)
-(* statistics alike — plus ranked-mode (Top_k) timing and head        *)
-(* agreement. The same domain sweep as the automaton gate.            *)
-(* ------------------------------------------------------------------ *)
-
-type prow = {
-  pm_domain : string;
-  pm_queries : int;
-  pm_ref_s : float;      (* summed wall time, reference walk *)
-  pm_sem_s : float;      (* summed wall time, semiring Min_size *)
-  pm_ranked_s : float;   (* summed wall time, run_ranked ~k *)
-  pm_ranked_k : int;
-  pm_ranked_nonempty : int;
-  pm_mismatches : (string * string) list;
-  pm_timeout_skips : int;
-}
-
-let run_pathmerge_domain ~timeout_s ~limit (dom : Domain.t) =
-  let dom =
-    if limit >= List.length dom.Domain.queries then dom
-    else
-      {
-        dom with
-        Domain.queries = List.filteri (fun i _ -> i < limit) dom.Domain.queries;
-      }
-  in
-  let nq = List.length dom.Domain.queries in
-  Format.eprintf "  %s: reference vs semiring PathMerge (%d queries)...@."
-    dom.Domain.name nq;
-  let ses =
-    Domain.configure dom
-      { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some timeout_s }
-  in
-  let k = 5 in
-  let ref_s = ref 0.0
-  and sem_s = ref 0.0
-  and ranked_s = ref 0.0
-  and ranked_nonempty = ref 0
-  and mismatches = ref []
-  and skips = ref 0 in
-  List.iteri
-    (fun i (q : Domain.query) ->
-      progress (dom.Domain.name ^ "/pathmerge") (i + 1) nq;
-      let o_sem =
-        Engine.respond ses
-          { Engine.input = Engine.Text q.Domain.text; mode = Engine.Plain }
-      in
-      let o_ref =
-        Engine.synthesize_with_merge ~merge:Refmerge.synthesize
-          ses.Engine.cfg ses.Engine.target q.Domain.text
-      in
-      sem_s := !sem_s +. o_sem.Engine.time_s;
-      ref_s := !ref_s +. o_ref.Engine.time_s;
-      (* a timeout on either side makes the pair incomparable (the faster
-         walk legitimately finishes more), counted instead of flagged *)
-      if o_sem.Engine.timed_out || o_ref.Engine.timed_out then incr skips
-      else begin
-        (match outcome_divergence o_ref o_sem with
-        | None -> ()
-        | Some what ->
-            mismatches := (q.Domain.text, what) :: !mismatches);
-        let t0 = Unix.gettimeofday () in
-        let rk =
-          (Engine.respond ses
-             { Engine.input = Engine.Text q.Domain.text; mode = Engine.Ranked k })
-            .Engine.ranked
-        in
-        ranked_s := !ranked_s +. (Unix.gettimeofday () -. t0);
-        if rk <> [] then begin
-          incr ranked_nonempty;
-          (* the n-best head must be the Min_size codelet *)
-          match o_sem.Engine.code with
-          | Some c when (List.hd rk).Engine.code <> c ->
-              mismatches := (q.Domain.text, "ranked-head") :: !mismatches
-          | _ -> ()
-        end
-      end)
-    dom.Domain.queries;
-  {
-    pm_domain = dom.Domain.name;
-    pm_queries = nq;
-    pm_ref_s = !ref_s;
-    pm_sem_s = !sem_s;
-    pm_ranked_s = !ranked_s;
-    pm_ranked_k = k;
-    pm_ranked_nonempty = !ranked_nonempty;
-    pm_mismatches = List.rev !mismatches;
-    pm_timeout_skips = !skips;
-  }
-
-let pathmerge_json ~timeout_s rows =
-  let module J = Dggt_server.Jsonio in
-  let f v = J.Num v and i n = J.Num (float_of_int n) in
-  J.Obj
-    [
-      ("bench", J.Str "pathmerge");
-      ("timeout_s", f timeout_s);
-      ( "domains",
-        J.list
-          (fun r ->
-            J.Obj
-              [
-                ("name", J.Str r.pm_domain);
-                ("queries", i r.pm_queries);
-                ("reference_s", f r.pm_ref_s);
-                ("semiring_s", f r.pm_sem_s);
-                ( "overhead",
-                  f (r.pm_sem_s /. Float.max r.pm_ref_s 1e-9) );
-                ("ranked_k", i r.pm_ranked_k);
-                ("ranked_s", f r.pm_ranked_s);
-                ("ranked_nonempty", i r.pm_ranked_nonempty);
-                ("timeout_skips", i r.pm_timeout_skips);
-                ("identical", J.Bool (r.pm_mismatches = []));
-                ( "mismatches",
-                  J.list
-                    (fun (text, what) ->
-                      J.Obj [ ("query", J.Str text); ("diverged", J.Str what) ])
-                    r.pm_mismatches );
-              ])
-          rows );
-    ]
-
-let run_pathmerge ~timeout_s ~limit () =
-  hr ();
-  Format.fprintf fmt
-    "Semiring PathMerge: reference DFS-of-record walk vs generic Min_size \
-     chart@.(every domain: built-ins + examples/packs/*; 'identical' = \
-     outcomes byte-equal per query including stats, timeouts skipped; \
-     ranked = run_ranked ~k:5 under Top_k, head must match)@.@.";
-  let rows =
-    List.map (run_pathmerge_domain ~timeout_s ~limit) (automaton_domains ())
-  in
-  Format.fprintf fmt "  %12s %4s %10s %10s %8s %10s %6s %5s@." "domain" "q"
-    "reference" "semiring" "overhead" "ranked" "n-best" "ident";
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "  %12s %4d %9.3fs %9.3fs %7.2fx %9.3fs %6d %5s@."
-        r.pm_domain r.pm_queries r.pm_ref_s r.pm_sem_s
-        (r.pm_sem_s /. Float.max r.pm_ref_s 1e-9)
-        r.pm_ranked_s r.pm_ranked_nonempty
-        (if r.pm_mismatches = [] then "yes" else "NO"))
-    rows;
-  Format.fprintf fmt "@.";
-  let path = "BENCH_pathmerge.json" in
-  let oc = open_out path in
-  output_string oc
-    (Dggt_server.Jsonio.to_string (pathmerge_json ~timeout_s rows));
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf fmt "wrote %s@." path;
-  let failed = ref false in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun (text, what) ->
-          failed := true;
-          Format.eprintf "EQUIVALENCE VIOLATION (%s): %s diverged on %S@."
-            r.pm_domain what text)
-        r.pm_mismatches)
-    rows;
-  if !failed then exit 1
-
-(* ------------------------------------------------------------------ *)
 (* Warm-start store: cold vs warm server boot over a loopback socket. *)
 (* Phase 1 boots with an empty --store, serves every query (checked   *)
-(* against a local Engine.run baseline), replays them as cache hits,  *)
+(* against a local Engine.respond baseline), replays them as hits,  *)
 (* and shuts down (spilling caches + automaton images). Phase 2 boots *)
 (* the same store: first request must already hit, /metrics must show *)
 (* zero automaton compiles, and every warm-served response must be    *)
@@ -1111,7 +949,7 @@ let run_warmstart ~timeout_s ~limit () =
             end
             else begin
               if J.str_field "code" j <> base_code then
-                fail "cold answer diverges from Engine.run on %S" text;
+                fail "cold answer diverges from Engine.respond on %S" text;
               Some (domain, text, wfields_of j)
             end)
       baselines
@@ -1256,7 +1094,8 @@ let run_warmstart ~timeout_s ~limit () =
    (the server writes one chunk per frame). [ws_http] drains to EOF
    before returning, which would erase exactly the quantity this bench
    measures. Returns the status and the frames in arrival order with
-   seconds-since-send stamps. *)
+   seconds-since-send stamps and the index of the read that completed
+   them: frames completed by one read share a stamp. *)
 let stream_http ~port ~path ~body () =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -1278,7 +1117,9 @@ let stream_http ~port ~path ~body () =
       let t0 = Unix.gettimeofday () in
       let acc = Buffer.create 8192 in
       let chunk = Bytes.create 4096 in
-      let frames = ref [] in (* (seconds since send, frame) — newest first *)
+      (* (seconds since send, read index, frame) — newest first *)
+      let frames = ref [] in
+      let reads = ref 0 in
       let cur = ref 0 in (* parse cursor into the accumulated bytes *)
       let status = ref 0 in
       let in_body = ref false in
@@ -1298,6 +1139,7 @@ let stream_http ~port ~path ~body () =
           if n = 0 then finished := true
           else begin
             Buffer.add_subbytes acc chunk 0 n;
+            incr reads;
             let now = Unix.gettimeofday () -. t0 in
             let s = Buffer.contents acc in
             if not !in_body then (
@@ -1321,7 +1163,8 @@ let stream_http ~port ~path ~body () =
                     with
                     | None | Some 0 -> finished := true
                     | Some size when String.length s >= le + 2 + size + 2 ->
-                        frames := (now, String.sub s (le + 2) size) :: !frames;
+                        frames :=
+                          (now, !reads, String.sub s (le + 2) size) :: !frames;
                         cur := le + 2 + size + 2;
                         dechunk ()
                     | Some _ -> () (* chunk data still in flight *))
@@ -1430,19 +1273,20 @@ let run_stream ~timeout_s ~limit () =
         if status <> 200 then fail "stream /rank -> %d for %S" status text;
         let parsed =
           List.filter_map
-            (fun (t, f) -> Option.map (fun (e, d_) -> (t, e, d_)) (sse_event f))
+            (fun (t, r, f) ->
+              Option.map (fun (e, d_) -> (t, r, e, d_)) (sse_event f))
             frames
         in
         if List.length parsed <> List.length frames then
           fail "unparseable SSE frame for %S" text;
-        let cands = List.filter (fun (_, e, _) -> e = "candidate") parsed in
-        (match List.filter (fun (_, e, _) -> e = "error") parsed with
+        let cands = List.filter (fun (_, _, e, _) -> e = "candidate") parsed in
+        (match List.filter (fun (_, _, e, _) -> e = "error") parsed with
         | [] -> ()
-        | (_, _, d_) :: _ -> fail "stream error frame for %S: %s" text d_);
+        | (_, _, _, d_) :: _ -> fail "stream error frame for %S: %s" text d_);
         (* interim revisions must be strictly monotone *)
         ignore
           (List.fold_left
-             (fun prev (_, _, data) ->
+             (fun prev (_, _, _, data) ->
                match J.of_string data with
                | Ok j -> (
                    match J.int_field "revision" j with
@@ -1457,13 +1301,13 @@ let run_stream ~timeout_s ~limit () =
                    fail "bad candidate JSON on %S: %s" text e;
                    prev)
              0 cands);
-        let done_t, done_body =
-          match List.filter (fun (_, e, _) -> e = "done") parsed with
-          | [ (t, _, d_) ] -> (t, d_)
+        let done_t, done_read, done_body =
+          match List.filter (fun (_, _, e, _) -> e = "done") parsed with
+          | [ (t, r, _, d_) ] -> (t, r, d_)
           | ds ->
               fail "expected exactly one done frame for %S (got %d)" text
                 (List.length ds);
-              (0.0, "")
+              (0.0, 0, "")
         in
         (* 2. wire-level identity: fresh non-streaming /rank, same body *)
         let st2, b2 = ws_http ~port ~meth:"POST" ~path:"/rank" ~body () in
@@ -1472,10 +1316,16 @@ let run_stream ~timeout_s ~limit () =
           fail
             "STREAM DIVERGENCE on %S: done frame differs from the /rank body"
             text;
-        (* 3. engine-level identity: local ranked run, same k *)
+        (* 3. engine-level identity: local ranked run, same k, with the
+           time of its first candidate emission *)
+        let local_first = ref None in
         let t0 = Unix.gettimeofday () in
         let o =
-          Engine.respond (session_of d)
+          Engine.respond
+            ~on_candidate:(fun _ ->
+              if !local_first = None then
+                local_first := Some (Unix.gettimeofday () -. t0))
+            (session_of d)
             { Engine.input = Engine.Text text; mode = Engine.Ranked k }
         in
         let local_s = Unix.gettimeofday () -. t0 in
@@ -1494,11 +1344,27 @@ let run_stream ~timeout_s ~limit () =
                     local ranked run"
                    text
            | Error e -> fail "bad done JSON on %S: %s" text e);
-        let ttfc = match cands with (t, _, _) :: _ -> Some t | [] -> None in
-        (match ttfc with
-        | Some t when t >= done_t && done_t > 0.0 ->
-            fail "TTFC %.1f ms not below full-search %.1f ms on %S"
-              (1000. *. t) (1000. *. done_t) text
+        let ttfc = match cands with (t, _, _, _) :: _ -> Some t | [] -> None in
+        (* the first candidate must precede the full search. Frames from
+           different reads are ordered by their stamps; a candidate and
+           the done frame completed by one read share a stamp, so the
+           in-process run decides instead: its first emission must come
+           before [respond] returns. *)
+        (match cands with
+        | (t, r, _, _) :: _ when done_t > 0.0 && r <> done_read ->
+            if t >= done_t then
+              fail "TTFC %.1f ms not below full-search %.1f ms on %S"
+                (1000. *. t) (1000. *. done_t) text
+        | _ :: _ when done_t > 0.0 -> (
+            match !local_first with
+            | Some t when t < local_s -> ()
+            | Some t ->
+                fail
+                  "TTFC %.3f ms not below full-search %.3f ms on %S                    (in-process; its candidate and done frames shared a read)"
+                  (1000. *. t) (1000. *. local_s) text
+            | None ->
+                fail "no in-process candidate on %S, but the stream had one"
+                  text)
         | _ -> ());
         {
           st_domain = d.Domain.name;
@@ -1677,7 +1543,7 @@ let run_shard ~timeout_s ~limit () =
   in
   (* ---- identity: every surface, both topologies, byte for byte ---- *)
   Format.eprintf "  identity pass over %d queries...@." (List.length items);
-  let frames_of fs = List.map snd fs in
+  let frames_of fs = List.map (fun (_, _, f) -> f) fs in
   List.iter
     (fun ((domain, text) as item) ->
       let body = rank_body item in
@@ -1896,31 +1762,33 @@ let synth_once (dom : Domain.t) alg text =
     ignore
       (Engine.respond ses { Engine.input = Engine.Text text; mode = Engine.Plain })
 
-(* Real PathMerge candidates for [q]: the CGT of every choice the walk
-   kept in its dynamic grammar graph (well-formed), and the union of each
-   with the next (mostly rejected, as most checked candidates are). *)
+(* Real PathMerge candidates for [q]: the CGT of every choice the chart
+   walk kept in its dynamic grammar graph (well-formed), and the union of
+   each with the next (mostly rejected, as most checked candidates are).
+   The stages run directly, without orphan relocation. *)
 let walk_cgts (dom : Domain.t) q =
-  let ses =
-    Domain.configure dom
-      { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some 20.0 }
+  let { Engine.cfg; target } = Domain.configure dom (Engine.default Engine.Dggt_alg) in
+  let g = target.Engine.graph in
+  let dg = Engine.prune cfg (Engine.parse cfg q) in
+  let w2a =
+    Word2api.cap
+      (Word2api.build ~threshold:cfg.Engine.threshold target.Engine.doc dg)
+      cfg.Engine.top_k
   in
-  let kept = ref [] in
-  let merge ~budget ~stats ~gprune ~sprune ?trace g dg w2a e2p =
-    let res, dyng =
-      Dggt.synthesize_with_graph ~budget ~stats ~gprune ~sprune ?trace g dg w2a e2p
-    in
-    Dgg.nodes dyng
-    |> List.iter (fun n ->
-           List.iter (fun (c : Semiring.cand) -> kept := c.Semiring.cgt :: !kept)
-             (Dgg.choices n));
-    res
+  let e2p = Edge2path.build ~limits:cfg.Engine.path_limits g dg w2a in
+  let _, dyng =
+    Dggt.synthesize_with_graph ~budget:(Dggt_util.Budget.of_seconds 20.0)
+      ~stats:(Stats.create ()) g dg w2a e2p
   in
-  ignore (Engine.synthesize_with_merge ~merge ses.Engine.cfg ses.Engine.target q);
+  let kept =
+    List.concat_map
+      (fun n -> List.map (fun (c : Semiring.cand) -> c.Semiring.cgt) (Dgg.choices n))
+      (Dgg.nodes dyng)
+  in
   let rec fused = function
     | a :: (b :: _ as rest) -> Cgt.merge a b :: fused rest
     | _ -> []
   in
-  let kept = List.rev !kept in
   kept @ fused kept
 
 let micro_tests () =
@@ -2026,8 +1894,6 @@ let () =
     | "parallel" -> run_parallel ~timeout_s ()
     | "automaton" ->
         run_automaton ~timeout_s ~limit:(if limit < 0 then max_int else limit) ()
-    | "pathmerge" ->
-        run_pathmerge ~timeout_s ~limit:(if limit < 0 then max_int else limit) ()
     | "incremental" ->
         run_incremental ~timeout_s ~limit:(if limit < 0 then 8 else limit) ()
     | "warmstart" ->

@@ -24,9 +24,17 @@ let () =
   List.iter
     (fun ((dom : Domain.t), q) ->
       Format.printf "@.[%s] %s@." dom.Domain.name q;
-      let dses = engine dom Engine.Dggt_alg in
-      let d = Engine.run dses q in
-      let h = Engine.run (engine dom Engine.Hisyn_alg) q in
+      (* the ranked-hints mode of paper SVII-B.4: one Ranked request gives
+         the codelet and the alternative codelets for the hint panel, read
+         off the dynamic grammar graph's root nodes *)
+      let d =
+        Engine.respond (engine dom Engine.Dggt_alg)
+          { Engine.input = Engine.Text q; mode = Engine.Ranked 3 }
+      in
+      let h =
+        Engine.respond (engine dom Engine.Hisyn_alg)
+          { Engine.input = Engine.Text q; mode = Engine.Plain }
+      in
       Format.printf "  hint: %s@." (Option.value d.Engine.code ~default:"<none>");
       Format.printf "  DGGT : %8.1f ms%s@." (d.Engine.time_s *. 1000.)
         (if d.Engine.timed_out then " TIMEOUT" else "");
@@ -42,13 +50,10 @@ let () =
         s.Stats.combos_after_gprune s.Stats.combos_after_sprune;
       Format.printf "  speedup: %.0fx@."
         (h.Engine.time_s /. Float.max d.Engine.time_s 1e-6);
-      (* the ranked-hints mode of paper SVII-B.4: alternative codelets for
-         the hint panel, read off the dynamic grammar graph's root nodes *)
-      let hints = Engine.run_ranked ~k:3 dses q in
       List.iteri
         (fun i (r : Engine.ranked) ->
           Format.printf "  hint %d: %s  (size %d, covers %d, score %.2f)@."
             (i + 1) r.Engine.code r.Engine.size r.Engine.coverage
             r.Engine.score)
-        hints)
+        d.Engine.ranked)
     queries

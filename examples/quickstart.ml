@@ -41,8 +41,9 @@ let () =
     | Error e -> Fmt.failwith "grammar: %a" Dggt_grammar.Cfg.pp_error e
   in
   let graph = Dggt_grammar.Ggraph.build cfg in
-  let engine = Engine.default Engine.Dggt_alg in
-  let tgt = Engine.target graph doc in
+  let ses =
+    { Engine.cfg = Engine.default Engine.Dggt_alg; target = Engine.target graph doc }
+  in
   (* 3. Queries. *)
   [
     "play \"Blue in Green\" in the kitchen";
@@ -50,7 +51,9 @@ let () =
     "stop the music everywhere";
   ]
   |> List.iter (fun query ->
-         let o = Engine.synthesize engine tgt query in
+         let o =
+           Engine.respond ses { Engine.input = Engine.Text query; mode = Engine.Plain }
+         in
          Format.printf "%-48s =>  %s  (%.1f ms)@." query
            (Option.value o.Engine.code ~default:"<no codelet>")
            (o.Engine.time_s *. 1000.))

@@ -365,11 +365,6 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
   in
   (res, dyng)
 
-let synthesize ?objective ~budget ~stats ?gprune ?sprune ?trace g dg w2a e2p =
-  fst
-    (synthesize_with_graph ?objective ~budget ~stats ?gprune ?sprune ?trace g
-       dg w2a e2p)
-
 let ranked_of_graph dyng ~root =
   Dgg.api_nodes_of_dep dyng root
   |> List.concat_map (fun n ->

@@ -23,26 +23,6 @@
 
     Complexity: O(sum over levels of p^e) instead of O(product). *)
 
-val synthesize :
-  ?objective:Semiring.t ->
-  budget:Dggt_util.Budget.t ->
-  stats:Stats.t ->
-  ?gprune:bool ->
-  ?sprune:bool ->
-  ?trace:Dggt_obs.Trace.span ->
-  Dggt_grammar.Ggraph.t ->
-  Dggt_nlu.Depgraph.t ->
-  Word2api.t ->
-  Edge2path.t ->
-  Synres.t option
-(** Both pruning optimizations default to enabled; [objective] defaults
-    to {!Semiring.Min_size}. Raises {!Dggt_util.Budget.Exhausted} on
-    budget exhaustion. Returns the graph structure statistics through
-    [stats]. When [trace] is given (the engine's open PathMerge span),
-    decision-level notes are recorded on it: per-governor combination
-    counts before/after each pruning pass, [min_size] improvements per
-    (word, API) memo, and the final DGG level sizes. *)
-
 val synthesize_with_graph :
   ?objective:Semiring.t ->
   budget:Dggt_util.Budget.t ->
@@ -56,8 +36,15 @@ val synthesize_with_graph :
   Word2api.t ->
   Edge2path.t ->
   Synres.t option * Dgg.t
-(** Same, also exposing the constructed dynamic grammar graph (used by
-    the ranked mode, the CLI's explain mode and tests).
+(** The chart walk: the optimal CGT, if any, and the dynamic grammar
+    graph it built (the ranked mode reads its n-best off the graph).
+    Both pruning optimizations default to enabled; [objective] defaults
+    to {!Semiring.Min_size}. Raises {!Dggt_util.Budget.Exhausted} on
+    budget exhaustion. Returns the graph structure statistics through
+    [stats]. When [trace] is given (the engine's open PathMerge span),
+    decision-level notes are recorded on it: per-governor combination
+    counts before/after each pruning pass, [min_size] improvements per
+    (word, API) memo, and the final DGG level sizes.
 
     [on_improve] is the streaming emission seam: it fires inside the
     chart walk each time a {e root} cell's best-first bounded cell
@@ -82,5 +69,5 @@ val ranked_of_graph : Dgg.t -> root:int -> Semiring.cand list
     word's API-node cells, best first under {!root_compare} (cell rank
     breaks residual ties). Under {!Semiring.Top_k} this is a real n-best
     list — up to k candidates per root interpretation, not one; its head
-    is {!synthesize}'s answer. Read-only: call after
+    is {!synthesize_with_graph}'s answer. Read-only: call after
     {!synthesize_with_graph} on the finished graph. *)

@@ -40,7 +40,6 @@ type config = {
   path_limits : Dggt_grammar.Gpath.limits;
   gprune : bool;
   sprune : bool;
-  objective : Semiring.t;
   orphan_reloc : bool;
   max_reloc_graphs : int;
   defaults : (string * string) list;
@@ -59,7 +58,6 @@ let default algorithm =
     path_limits = Dggt_grammar.Gpath.default_limits;
     gprune = true;
     sprune = true;
-    objective = Semiring.Min_size;
     orphan_reloc = true;
     max_reloc_graphs = 8;
     defaults = [];
@@ -337,18 +335,20 @@ let finish cfg tgt dg (res : Synres.t option) ~time_s ~timed_out ~stats =
                 stats;
               }))
 
-(* Step 5, DGGT: orphan relocation + dynamic-grammar-graph merging.
-   Generic over the PathMerge implementation: [merge] gets each candidate
-   dependency graph and returns the synthesis result plus (for the real
-   DGGT walk) the dynamic grammar graph it built — the ranked mode reads
-   its n-best list off the winning variant's graph. *)
-let run_dggt_with cfg tgt stats (pruned : Depgraph.t)
-    ~(merge :
-       trace:Trace.span option ->
-       Depgraph.t ->
-       Word2api.t ->
-       Edge2path.t ->
-       Synres.t option * Dgg.t option) =
+(* Step 5, DGGT: orphan relocation + dynamic-grammar-graph merging under
+   [objective]. Returns the dependency graph the answer was read off, the
+   result and that variant's dynamic grammar graph — the ranked mode
+   reads its n-best list off the graph. [on_cand] is the streaming seam:
+   it receives the relocation variant's dependency graph (needed to bind
+   query literals at linearization time) together with each root-cell
+   improvement the chart walk emits. *)
+let run_dggt ?(on_cand : (Depgraph.t -> Semiring.cand -> unit) option)
+    ~objective cfg tgt budget stats (pruned : Depgraph.t) =
+  let merge ~trace dg w2a e2p =
+    let on_improve = Option.map (fun f c -> f dg c) on_cand in
+    Dggt.synthesize_with_graph ~objective ~budget ~stats ~gprune:cfg.gprune
+      ~sprune:cfg.sprune ?trace ?on_improve tgt.graph dg w2a e2p
+  in
   let pruned, w2a, e2p, orphans = front cfg tgt stats pruned in
   Trace.span cfg.trace "PathMerge" (fun sp ->
       Trace.str sp "engine" "dggt";
@@ -369,7 +369,7 @@ let run_dggt_with cfg tgt stats (pruned : Depgraph.t)
         stats.Stats.paths_after_reloc <- Edge2path.total_path_count e2p;
         stats.Stats.reloc_graphs <- 1;
         let res, dyng = merge ~trace:sp dg w2a e2p in
-        (dg, res, dyng)
+        (dg, res, Some dyng)
       end
       else begin
         let variants =
@@ -433,24 +433,9 @@ let run_dggt_with cfg tgt stats (pruned : Depgraph.t)
           |> snd
         in
         match best with
-        | Some (dg, r, dyng) -> (dg, Some r, dyng)
+        | Some (dg, r, dyng) -> (dg, Some r, Some dyng)
         | None -> (pruned, None, None)
       end)
-
-(* The real DGGT PathMerge as [run_dggt_with]'s merge. [on_cand] is the
-   streaming seam: it receives the relocation variant's dependency graph
-   (needed to bind query literals at linearization time) together with
-   each root-cell improvement the chart walk emits. *)
-let run_dggt ?(on_cand : (Depgraph.t -> Semiring.cand -> unit) option) cfg tgt
-    budget stats (pruned : Depgraph.t) =
-  run_dggt_with cfg tgt stats pruned ~merge:(fun ~trace dg w2a e2p ->
-      let on_improve = Option.map (fun f c -> f dg c) on_cand in
-      let res, dyng =
-        Dggt.synthesize_with_graph ~objective:cfg.objective ~budget ~stats
-          ~gprune:cfg.gprune ~sprune:cfg.sprune ?trace ?on_improve tgt.graph
-          dg w2a e2p
-      in
-      (res, Some dyng))
 
 (* Step 5, HISyn baseline: root anchoring + exhaustive enumeration. *)
 let run_hisyn cfg tgt budget stats (pruned : Depgraph.t) =
@@ -504,35 +489,38 @@ let run_hisyn cfg tgt budget stats (pruned : Depgraph.t) =
       in
       (dg, res))
 
-(* Stages 3-6 over an already-pruned graph. Exposed (as [synthesize_pruned])
-   so the incremental layer can parse and prune first, decide from the
-   pruned graph whether the previous revision's result still applies, and
-   only then pay for the expensive suffix of the pipeline. *)
-let synthesize_pruned cfg tgt (pruned : Depgraph.t) =
+(* Stages 3-6 over an already-pruned graph under one budget: the only
+   place a query's clock starts and an exhausted budget turns into a
+   timeout. Also returns the dependency graph the answer was read off and,
+   for DGGT, the winning variant's dynamic grammar graph. *)
+let run_stages ?on_cand ~objective cfg tgt (pruned : Depgraph.t) =
   let stats = Stats.create () in
   let budget = make_budget cfg in
   let t0 = Unix.gettimeofday () in
-  let run () =
+  match
     match cfg.algorithm with
-    | Dggt_alg ->
-        let dg, res, _dyng = run_dggt cfg tgt budget stats pruned in
-        (dg, res)
-    | Hisyn_alg -> run_hisyn cfg tgt budget stats pruned
-  in
-  match run () with
-  | dg', res ->
+    | Dggt_alg -> run_dggt ?on_cand ~objective cfg tgt budget stats pruned
+    | Hisyn_alg ->
+        let dg, res = run_hisyn cfg tgt budget stats pruned in
+        (dg, res, None)
+  with
+  | dg, res, dyng ->
       let time_s = Unix.gettimeofday () -. t0 in
-      finish cfg tgt dg' res ~time_s ~timed_out:false ~stats
+      (finish cfg tgt dg res ~time_s ~timed_out:false ~stats, dg, dyng)
   | exception Budget.Exhausted ->
       let time_s =
         match cfg.timeout_s with
         | Some limit -> limit
         | None -> Unix.gettimeofday () -. t0
       in
-      finish cfg tgt pruned None ~time_s ~timed_out:true ~stats
+      (finish cfg tgt pruned None ~time_s ~timed_out:true ~stats, pruned, None)
 
-let synthesize_graph cfg tgt (dg : Depgraph.t) =
-  synthesize_pruned cfg tgt (prune_query cfg dg)
+(* Exposed so the incremental layer can parse and prune first, decide
+   from the pruned graph whether the previous revision's result still
+   applies, and only then pay for the expensive suffix of the pipeline. *)
+let synthesize_pruned cfg tgt pruned =
+  let o, _, _ = run_stages ~objective:Semiring.Min_size cfg tgt pruned in
+  o
 
 let parse_query cfg query =
   Trace.span cfg.trace "DependencyParse" (fun sp ->
@@ -542,7 +530,6 @@ let parse_query cfg query =
       if Trace.on sp then Trace.str sp "parse" (Depgraph.to_string dg);
       dg)
 
-let synthesize cfg tgt query = synthesize_graph cfg tgt (parse_query cfg query)
 let parse = parse_query
 let prune = prune_query
 
@@ -551,57 +538,11 @@ type session = { cfg : config; target : target }
 let with_cfg f s = { s with cfg = f s.cfg }
 
 (* ------------------------------------------------------------------ *)
-(* PathMerge seam + ranked mode                                       *)
-(* ------------------------------------------------------------------ *)
-
-type merge_fn =
-  budget:Budget.t ->
-  stats:Stats.t ->
-  gprune:bool ->
-  sprune:bool ->
-  ?trace:Trace.span ->
-  Dggt_grammar.Ggraph.t ->
-  Depgraph.t ->
-  Word2api.t ->
-  Edge2path.t ->
-  Synres.t option
-
-let synthesize_with_merge ~(merge : merge_fn) cfg tgt query =
-  let cfg = { cfg with algorithm = Dggt_alg } in
-  let stats = Stats.create () in
-  let budget = make_budget cfg in
-  let t0 = Unix.gettimeofday () in
-  let pruned = prune_query cfg (parse_query cfg query) in
-  match
-    run_dggt_with cfg tgt stats pruned ~merge:(fun ~trace dg w2a e2p ->
-        let res =
-          match trace with
-          | Some sp ->
-              merge ~budget ~stats ~gprune:cfg.gprune ~sprune:cfg.sprune
-                ~trace:sp tgt.graph dg w2a e2p
-          | None ->
-              merge ~budget ~stats ~gprune:cfg.gprune ~sprune:cfg.sprune
-                tgt.graph dg w2a e2p
-        in
-        (res, None))
-  with
-  | dg', res, _dyng ->
-      let time_s = Unix.gettimeofday () -. t0 in
-      finish cfg tgt dg' res ~time_s ~timed_out:false ~stats
-  | exception Budget.Exhausted ->
-      let time_s =
-        match cfg.timeout_s with
-        | Some limit -> limit
-        | None -> Unix.gettimeofday () -. t0
-      in
-      finish cfg tgt pruned None ~time_s ~timed_out:true ~stats
-
-(* ------------------------------------------------------------------ *)
 (* consolidated request API: plain / ranked as one shape, streaming   *)
 (* as a delivery mode of the same request                             *)
 (* ------------------------------------------------------------------ *)
 
-type input = Text of string | Graph of Depgraph.t
+type input = Text of string
 type mode = Plain | Ranked of int
 type request = { input : input; mode : mode }
 
@@ -693,95 +634,60 @@ let make_emitter ~k cfg tgt (emit : candidate -> unit) =
    construction. *)
 let respond_ranked ?on_candidate ~k cfg tgt (pruned : Depgraph.t) =
   let k = max 1 k in
-  let cfg = { cfg with algorithm = Dggt_alg; objective = Semiring.Top_k k } in
-  let stats = Stats.create () in
-  let budget = make_budget cfg in
-  let t0 = Unix.gettimeofday () in
+  let cfg = { cfg with algorithm = Dggt_alg } in
   let on_cand = Option.map (fun f -> make_emitter ~k cfg tgt f) on_candidate in
-  match run_dggt ?on_cand cfg tgt budget stats pruned with
-  | dg, res, dyng -> (
-      let time_s = Unix.gettimeofday () -. t0 in
-      let outcome = finish cfg tgt dg res ~time_s ~timed_out:false ~stats in
-      match dyng with
-      | None -> outcome
-      | Some dyng ->
-          (* the head is pinned to the plain run's codelet (already
-             linearized by [finish]): [Dgg.best]'s root selection compares
-             scores exactly while cell order uses the 1e-9 epsilon, so a
-             pure re-sort of the chart can put an epsilon-tied sibling
-             first — an invariant, not a sorting accident (DESIGN.md) *)
-          let seen = Hashtbl.create 8 in
-          let ranked =
-            Dggt.ranked_of_graph dyng ~root:dg.Depgraph.root
-            |> List.filter_map (fun (c : Semiring.cand) ->
-                   let lits = literal_bindings dg c.Semiring.assignment in
-                   match
-                     Result.map Tree2expr.normalize
-                       (Tree2expr.of_cgt ~lits ~defaults:cfg.defaults tgt.graph
-                          c.Semiring.cgt)
-                   with
-                   | Ok expr ->
-                       let code = Tree2expr.to_string expr in
-                       if Hashtbl.mem seen code then None
-                       else begin
-                         Hashtbl.add seen code ();
-                         Some
-                           {
-                             expr;
-                             code;
-                             size = c.Semiring.size;
-                             coverage = Semiring.coverage c;
-                             score = c.Semiring.score;
-                           }
-                       end
-                   | Error _ -> None)
-          in
-          let ranked =
-            match outcome.code with
-            | Some rc -> (
-                match
-                  List.partition (fun (r : ranked) -> r.code = rc) ranked
-                with
-                | [ hd ], rest -> hd :: rest
-                | _ -> ranked)
-            | None -> ranked
-          in
-          { outcome with ranked = Listutil.take k ranked })
-  | exception Budget.Exhausted ->
-      let time_s =
-        match cfg.timeout_s with
-        | Some limit -> limit
-        | None -> Unix.gettimeofday () -. t0
+  match run_stages ?on_cand ~objective:(Semiring.Top_k k) cfg tgt pruned with
+  | outcome, _, None -> outcome
+  | outcome, dg, Some dyng ->
+      (* the head is pinned to the plain run's codelet (already
+         linearized by [finish]): [Dgg.best]'s root selection compares
+         scores exactly while cell order uses the 1e-9 epsilon, so a
+         pure re-sort of the chart can put an epsilon-tied sibling
+         first — an invariant, not a sorting accident (DESIGN.md) *)
+      let seen = Hashtbl.create 8 in
+      let ranked =
+        Dggt.ranked_of_graph dyng ~root:dg.Depgraph.root
+        |> List.filter_map (fun (c : Semiring.cand) ->
+               let lits = literal_bindings dg c.Semiring.assignment in
+               match
+                 Result.map Tree2expr.normalize
+                   (Tree2expr.of_cgt ~lits ~defaults:cfg.defaults tgt.graph
+                      c.Semiring.cgt)
+               with
+               | Ok expr ->
+                   let code = Tree2expr.to_string expr in
+                   if Hashtbl.mem seen code then None
+                   else begin
+                     Hashtbl.add seen code ();
+                     Some
+                       {
+                         expr;
+                         code;
+                         size = c.Semiring.size;
+                         coverage = Semiring.coverage c;
+                         score = c.Semiring.score;
+                       }
+                   end
+               | Error _ -> None)
       in
-      finish cfg tgt pruned None ~time_s ~timed_out:true ~stats
+      let ranked =
+        match outcome.code with
+        | Some rc -> (
+            match
+              List.partition (fun (r : ranked) -> r.code = rc) ranked
+            with
+            | [ hd ], rest -> hd :: rest
+            | _ -> ranked)
+        | None -> ranked
+      in
+      { outcome with ranked = Listutil.take k ranked }
 
 let respond ?on_candidate (s : session) (req : request) =
-  let graph_of () =
-    match req.input with
-    | Text q -> parse_query s.cfg q
-    | Graph dg -> dg
-  in
+  let (Text q) = req.input in
+  let pruned = prune_query s.cfg (parse_query s.cfg q) in
   match req.mode with
   | Plain ->
-      (* the streaming seam only exists on the DGGT chart walk; a Plain
+      (* the streaming seam only exists on the ranked chart walk; a Plain
          request has no n-best to improve, so the callback never fires *)
-      synthesize_graph s.cfg s.target (graph_of ())
-  | Ranked k ->
-      respond_ranked ?on_candidate ~k s.cfg s.target
-        (prune_query s.cfg (graph_of ()))
-
-let run_streaming ?(k = 5) ~on_candidate s query =
-  respond ~on_candidate s { input = Text query; mode = Ranked k }
-
-(* thin wrappers over [respond]; kept for one PR, then callers should be
-   on the request shape *)
-let run s query = respond s { input = Text query; mode = Plain }
-let run_graph s dg = respond s { input = Graph dg; mode = Plain }
-
-let synthesize_ranked ?(k = 5) cfg tgt query =
-  if k <= 0 then []
-  else
-    (respond { cfg; target = tgt } { input = Text query; mode = Ranked k })
-      .ranked
-
-let run_ranked ?k s query = synthesize_ranked ?k s.cfg s.target query
+      synthesize_pruned s.cfg s.target pruned
+  | Ranked k -> respond_ranked ?on_candidate ~k s.cfg s.target pruned

@@ -1,6 +1,15 @@
 (** The end-to-end synthesis driver: query text in, codelet out.
 
-    Runs the six-step pipeline with either engine for step 5:
+    One entry point, {!respond}, answers one {!request} over a {!session}.
+    The request says {e what} to answer ([input], the query text) and
+    {e in which shape} ([mode]: one codelet, or an n-best list of [k]
+    ranked candidates); the session pairs the {e how} (a {!config}) with
+    the {e what to synthesize against} (a {!target}: the domain's grammar
+    graph and API document plus optional per-stage caches, built once per
+    domain). Streaming is a delivery option of the same request: pass
+    [on_candidate] to a [Ranked] request.
+
+    {!respond} runs the six-step pipeline with either engine for step 5:
 
     + dependency parsing ({!Dggt_nlu.Depparser});
     + query-graph pruning ({!Queryprune}), plus removal of words the
@@ -11,14 +20,15 @@
       root-anchored (HISyn) or relocated ({!Orphan}, DGGT);
     + TreeToExpression ({!Tree2expr}) with query-literal binding.
 
-    The {e what} to synthesize against is a {!target} — the domain's
-    grammar graph and API document plus optional per-stage caches — built
-    once per domain; the {e how} is a {!config}. Every stage emits a
-    {!Dggt_obs.Trace} span when [config.trace] is set, recording its
-    decisions (word→API candidates with scores, per-edge path counts,
-    relocation choices, DGG [min_size] updates); with [trace = None] the
-    instrumentation is a single pattern match per stage and the pipeline
-    behaves exactly as before.
+    The incremental layer ({!Dggt_inc.Session}) stops between stages, so
+    {!parse}, {!prune} and {!synthesize_pruned} are exposed too; their
+    composition is exactly a [Plain] {!respond}.
+
+    Every stage emits a {!Dggt_obs.Trace} span when [config.trace] is set,
+    recording its decisions (word→API candidates with scores, per-edge
+    path counts, relocation choices, DGG [min_size] updates); with
+    [trace = None] the instrumentation is a single pattern match per stage
+    and the pipeline behaves exactly as before.
 
     Timeouts follow the paper's protocol: a wall-clock budget (default
     20 s) checked inside the enumeration loops; an exhausted budget makes
@@ -89,13 +99,6 @@ type config = {
   path_limits : Dggt_grammar.Gpath.limits;
   gprune : bool;              (** grammar-based pruning (DGGT) *)
   sprune : bool;              (** size-based pruning (DGGT) *)
-  objective : Semiring.t;
-      (** the PathMerge semiring instantiation (DGGT). {!Semiring.Min_size}
-          (the default) is the paper's objective; {!Semiring.Top_k} makes
-          every chart cell retain a bounded n-best (what {!run_ranked}
-          uses); {!Semiring.Count} additionally counts distinct CGTs per
-          cell. The winning codelet and the statistics are identical for
-          every objective — the walk always extends by best candidates. *)
   orphan_reloc : bool;        (** orphan relocation (DGGT); false falls
                                   back to HISyn's root anchoring *)
   max_reloc_graphs : int;
@@ -148,9 +151,6 @@ type outcome = {
   stats : Stats.t;
 }
 
-val synthesize : config -> target -> string -> outcome
-(** Never raises. *)
-
 type session = { cfg : config; target : target }
 (** A ready-to-run pairing of the {e how} ({!config}) with the {e what}
     ({!target}). {!Dggt_domains.Domain.configure} returns one; callers that
@@ -161,38 +161,28 @@ type session = { cfg : config; target : target }
 val with_cfg : (config -> config) -> session -> session
 (** [with_cfg f s] is [{ s with cfg = f s.cfg }]. *)
 
-(** {2 The request shape}
+(** {2 The request shape} *)
 
-    One entry point for every delivery mode. A {!request} says {e what}
-    to answer ([input]: query text, or a pre-built dependency graph) and
-    {e in which shape} ([mode]: the plain single-codelet outcome, or an
-    n-best list of [k] ranked candidates); {!respond} executes it over a
-    {!session}. Streaming is not a third mode but a delivery option of
-    the same request: pass [on_candidate] and [Ranked]-mode responses
-    additionally emit every improving root-cell candidate while the
-    chart walk runs — the returned outcome (with its final [ranked]
-    list) is byte-identical with and without the callback. *)
-
-type input =
-  | Text of string            (** run the full pipeline from stage 1 *)
-  | Graph of Dggt_nlu.Depgraph.t
-      (** skip parsing: synthesize from a pre-built dependency graph (no
-          DependencyParse span is emitted when tracing) *)
+type input = Text of string  (** run the full pipeline from stage 1 *)
 
 type mode =
   | Plain  (** one codelet; [outcome.ranked] is [[]] *)
   | Ranked of int
       (** up to [k] candidate codelets (paper §VII-B.4), best first, in
-          [outcome.ranked] — the full DGGT pipeline run under
-          {!Semiring.Top_k}[ k] (the algorithm is forced to [Dggt_alg]),
-          so the list is a real n-best read off the finished chart,
-          sorted by {!Dggt.root_compare} and duplicate-free (by code).
+          [outcome.ranked] — the full DGGT pipeline (the algorithm is
+          forced to [Dggt_alg]) run under {!Semiring.Top_k}[ k] instead of
+          [Plain]'s {!Semiring.Min_size}, so the list is a real n-best
+          read off the finished chart, sorted by {!Dggt.root_compare} and
+          duplicate-free (by code).
           The head is pinned to the [Plain] codelet — an invariant, not
           a sorting accident: root selection compares scores exactly
           while cell order uses the 1e-9 epsilon, so an epsilon-tied
           sibling could otherwise sort first (see DESIGN.md). [k <= 1]
-          degenerates to the {!Semiring.Min_size} chart. Timeouts yield
-          [ranked = []] with [timed_out] set. *)
+          degenerates to the {!Semiring.Min_size} chart. The outcome's
+          codelet, CGT size and statistics are the [Plain] run's: the walk
+          extends by best candidates under either objective, [Top_k] only
+          retains more of them. Timeouts yield [ranked = []] with
+          [timed_out] set. *)
 
 type request = { input : input; mode : mode }
 
@@ -215,24 +205,12 @@ val respond : ?on_candidate:(candidate -> unit) -> session -> request -> outcome
 (** Execute one request. Never raises (callback exceptions excepted —
     [on_candidate] runs on the synthesizing thread, inside the budget'd
     region, and is only consulted in [Ranked] mode: [Plain] requests
-    have no n-best to improve, so the callback never fires there). *)
-
-val run_streaming :
-  ?k:int -> on_candidate:(candidate -> unit) -> session -> string -> outcome
-(** [run_streaming ~k ~on_candidate s q] is
-    [respond ~on_candidate s { input = Text q; mode = Ranked k }]
-    ([k] defaults to 5): emit-as-you-improve delivery of the ranked
-    request. Time-to-first-candidate is bounded by the first root-cell
+    have no n-best to improve, so the callback never fires there). With
+    [on_candidate], a [Ranked] request additionally emits every improving
+    root-cell candidate while the chart walk runs; the returned outcome
+    (with its final [ranked] list) is byte-identical with and without the
+    callback. Time-to-first-candidate is bounded by the first root-cell
     improvement, not by the full search ([bench stream] pins the gap). *)
-
-(** {2 Deprecated wrappers}
-
-    Thin aliases of {!respond} kept for one PR; new callers should build
-    a {!request}. *)
-
-val run : session -> string -> outcome
-(** [run s q] is [respond s { input = Text q; mode = Plain }]. Never
-    raises. *)
 
 val absorb_modifiers :
   Apidoc.t -> Dggt_nlu.Depgraph.t -> Word2api.t -> Dggt_nlu.Depgraph.t * Word2api.t
@@ -241,47 +219,12 @@ val absorb_modifiers :
     refines the head ("constructor expressions" -> cxxConstructExpr) and
     disappears as a separate word. *)
 
-val synthesize_ranked : ?k:int -> config -> target -> string -> ranked list
-(** [(respond { cfg; target } { input = Text q; mode = Ranked k }).ranked]
-    (default [k = 5]; [k <= 0] yields [[]] without running). See
-    {!mode}'s [Ranked] case for the list's contract. *)
-
-val run_ranked : ?k:int -> session -> string -> ranked list
-(** {!synthesize_ranked} over a {!session}. *)
-
-type merge_fn =
-  budget:Dggt_util.Budget.t ->
-  stats:Stats.t ->
-  gprune:bool ->
-  sprune:bool ->
-  ?trace:Dggt_obs.Trace.span ->
-  Dggt_grammar.Ggraph.t ->
-  Dggt_nlu.Depgraph.t ->
-  Word2api.t ->
-  Edge2path.t ->
-  Synres.t option
-(** The PathMerge seam: the signature of a step-5 implementation as the
-    DGGT pipeline calls it (once per relocation variant). *)
-
-val synthesize_with_merge : merge:merge_fn -> config -> target -> string -> outcome
-(** {!synthesize} with a replacement PathMerge spliced into the DGGT
-    pipeline (the algorithm is forced to [Dggt_alg]; orphan relocation,
-    variant selection, budget and timeout handling are unchanged). Used
-    by [bench pathmerge] and the property suite to run the pre-semiring
-    reference walk ({!Dggt_eval.Refmerge}) against the semiring one on
-    identical inputs. Never raises. *)
-
-val synthesize_graph : config -> target -> Dggt_nlu.Depgraph.t -> outcome
-(** Skip parsing: synthesize from a pre-built dependency graph (used by
-    tests to pin parses, and by the property suite to fuzz graph shapes).
-    No DependencyParse span is emitted when tracing. *)
-
 (** {2 Stage boundaries}
 
     The incremental layer ({!Dggt_inc.Session}) needs to stop the pipeline
     between stages: parse and prune first, compare the pruned graph against
     the previous revision's, and only run the expensive stages 3-6 when the
-    comparison says it must. [synthesize q] is exactly
+    comparison says it must. A [Plain] {!respond} of [q] is exactly
     [synthesize_pruned (prune (parse q))]; splitting the call changes
     nothing about the result or the emitted trace spans. *)
 
@@ -298,9 +241,6 @@ val synthesize_pruned : config -> target -> Dggt_nlu.Depgraph.t -> outcome
     together with the target and the config determines the outcome's
     codelet and statistics completely — the invariant the incremental
     splice rests on. Never raises. *)
-
-val run_graph : session -> Dggt_nlu.Depgraph.t -> outcome
-(** [respond s { input = Graph dg; mode = Plain }]. *)
 
 val stage_names : string list
 (** The span names of the six pipeline stages, in pipeline order:

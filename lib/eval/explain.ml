@@ -13,7 +13,14 @@ let run fmt ?(timeout_s = 20.0) ?(algorithm = Engine.Dggt_alg) ?(top = 1)
         trace = Some sink;
       }
   in
-  let o = Engine.run ses query in
+  (* rank narration runs the same pipeline under the Top-k semiring: the
+     codelet, statistics and trace are the Plain run's, the chart's cells
+     just keep more than the winner *)
+  let mode =
+    if top > 1 && algorithm = Engine.Dggt_alg then Engine.Ranked top
+    else Engine.Plain
+  in
+  let o = Engine.respond ses { Engine.input = Engine.Text query; mode } in
   let trace = Trace.result sink in
   Format.fprintf fmt "domain: %s (%s engine)@." dom.Domain.name
     (match algorithm with Engine.Dggt_alg -> "dggt" | Engine.Hisyn_alg -> "hisyn");
@@ -29,16 +36,13 @@ let run fmt ?(timeout_s = 20.0) ?(algorithm = Engine.Dggt_alg) ?(top = 1)
       Format.fprintf fmt "@.no codelet (%s, %.3f ms)@."
         (Option.value o.Engine.failure ~default:"unknown failure")
         (o.Engine.time_s *. 1e3));
-  (* rank narration: re-run under the Top-k semiring and show what the
-     chart kept beyond the winner — same pipeline, wider cells *)
-  if top > 1 && o.Engine.code <> None && algorithm = Engine.Dggt_alg then begin
-    let hints = Engine.run_ranked ~k:top ses query in
+  if o.Engine.code <> None && o.Engine.ranked <> [] then begin
     Format.fprintf fmt "@.top-%d candidates (Top-k semiring chart):@." top;
     List.iteri
       (fun i (r : Engine.ranked) ->
         Format.fprintf fmt "  %d. %s@.     size %d, covers %d words, score %.2f%s@."
           (i + 1) r.Engine.code r.Engine.size r.Engine.coverage r.Engine.score
           (if i = 0 then "  (the winner above)" else ""))
-      hints
+      o.Engine.ranked
   end;
   o

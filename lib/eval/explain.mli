@@ -16,6 +16,7 @@ val run :
 (** Synthesize [query] against the domain with a fresh trace sink, print
     the narrative, and return the outcome (the caller decides exit codes).
     With [top > 1] (DGGT engine, successful synthesis) a rank-narration
-    section follows: the query re-run under {!Dggt_core.Semiring.Top_k}
-    and the n-best candidates the chart kept, head first. Defaults: 20 s
+    section follows: the query runs as a [Ranked top] request (the
+    {!Dggt_core.Semiring.Top_k} chart, same codelet and trace) and the
+    n-best candidates the chart kept are listed, head first. Defaults: 20 s
     timeout, DGGT engine, [top = 1] (no rank section). *)

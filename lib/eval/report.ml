@@ -86,8 +86,11 @@ let table2 fmt comparisons =
 (* Table III                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let plain ses text =
+  Engine.respond ses { Engine.input = Engine.Text text; mode = Engine.Plain }
+
 let run_one (dom : Domain.t) algorithm ~timeout_s (q : Domain.query) =
-  Engine.run
+  plain
     (Domain.configure dom
        { (Engine.default algorithm) with Engine.timeout_s = Some timeout_s })
     q.Domain.text
@@ -96,7 +99,7 @@ let run_one (dom : Domain.t) algorithm ~timeout_s (q : Domain.query) =
    with a tiny step budget (the product is recorded before enumeration). *)
 let combos_possible dom (q : Domain.query) =
   let o =
-    Engine.run
+    plain
       (Domain.configure dom
          {
            (Engine.default Engine.Hisyn_alg) with

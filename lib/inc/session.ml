@@ -126,7 +126,6 @@ let stage_cfg_equal (a : Engine.config) (b : Engine.config) =
   && a.Engine.path_limits = b.Engine.path_limits
   && a.Engine.gprune = b.Engine.gprune
   && a.Engine.sprune = b.Engine.sprune
-  && a.Engine.objective = b.Engine.objective
   && a.Engine.orphan_reloc = b.Engine.orphan_reloc
   && a.Engine.max_reloc_graphs = b.Engine.max_reloc_graphs
   && a.Engine.defaults = b.Engine.defaults

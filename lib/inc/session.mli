@@ -71,9 +71,8 @@ val respond :
     call (trace sink, timeout) exactly as in {!query}. *)
 
 val ranked : ?k:int -> t -> string -> Dggt_core.Engine.ranked list
-(** Ranked-hints mode ({!Dggt_core.Engine.run_ranked}'s top-k chart)
-    through the session's memo tables — [respond] with a [Ranked k] text
-    request. Does not advance the revision history or disturb the last
+(** Ranked-hints mode through the session's memo tables — {!respond}
+    with a [Ranked k] text request. Does not advance the revision history or disturb the last
     {!query}'s reuse accounting. *)
 
 val reset : t -> unit

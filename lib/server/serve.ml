@@ -469,16 +469,43 @@ let synthesize_handler t (req : Httpd.request) =
                   trace = Some sink;
                 }
               in
-              let o = Engine.synthesize cfg p.ds.target p.query in
+              let request mode =
+                { Engine.input = Engine.Text p.query; mode }
+              in
+              (* DGGT answers k > 1 in one Ranked walk: its codelet and
+                 statistics are the Plain run's, and the n-best comes off
+                 the same chart *)
+              let ranked_in_walk = p.engine = Engine.Dggt_alg && p.k > 1 in
+              let o =
+                Engine.respond
+                  { Engine.cfg; target = p.ds.target }
+                  (request
+                     (if ranked_in_walk then Engine.Ranked p.k else Engine.Plain))
+              in
               record_trace t ~domain ~engine:p.engine_name ~query:p.query
                 ~time_s:o.Engine.time_s
                 ~ok:(o.Engine.code <> None)
                 sink;
-              let alternatives =
-                if p.k > 1 && not o.Engine.timed_out then
-                  Engine.synthesize_ranked ~k:p.k p.ds.cfg_dggt p.ds.target
-                    p.query
-                else []
+              (* HISyn has no chart: its alternatives are a DGGT Ranked
+                 pass under what is left of the request's budget *)
+              let alternatives, ranked_timed_out =
+                if ranked_in_walk then (o.Engine.ranked, false)
+                else if p.k > 1 && not o.Engine.timed_out then
+                  let r =
+                    Engine.respond
+                      {
+                        Engine.cfg =
+                          {
+                            p.ds.cfg_dggt with
+                            Engine.timeout_s =
+                              Some (Float.max 0.0 (deadline -. Unix.gettimeofday ()));
+                          };
+                        target = p.ds.target;
+                      }
+                      (request (Engine.Ranked p.k))
+                  in
+                  (r.Engine.ranked, r.Engine.timed_out)
+                else ([], false)
               in
               let outcome =
                 if o.Engine.timed_out then "timeout"
@@ -487,7 +514,7 @@ let synthesize_handler t (req : Httpd.request) =
               in
               (* never cache timeouts: a repeat under a larger budget
                  deserves a fresh run *)
-              if not o.Engine.timed_out then
+              if not (o.Engine.timed_out || ranked_timed_out) then
                 Cache.add t.q_cache key (o, alternatives);
               observe t ~domain ~outcome t0;
               `Ok (render ~cached:false (o, alternatives))))
@@ -544,7 +571,12 @@ let rank_handler t (req : Httpd.request) =
                   trace = Some sink;
                 }
               in
-              let cs = Engine.synthesize_ranked ~k cfg p.ds.target p.query in
+              let cs =
+                (Engine.respond
+                   { Engine.cfg; target = p.ds.target }
+                   { Engine.input = Engine.Text p.query; mode = Engine.Ranked k })
+                  .Engine.ranked
+              in
               record_trace t ~domain ~engine:"dggt" ~query:p.query
                 ~time_s:(Unix.gettimeofday () -. t0)
                 ~ok:(cs <> []) sink;

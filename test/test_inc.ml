@@ -103,13 +103,13 @@ let test_session_append_reuse () =
   check_i "rev 1" 1 r1.Reuse.revision;
   check_b "rev 1 no splice" false r1.Reuse.splice;
   check_b "rev 1 computed words" true (r1.Reuse.words.Reuse.computed > 0);
-  check_b "rev 1 matches scratch" true (outcome_equal o1 (Engine.run base q1));
+  check_b "rev 1 matches scratch" true (outcome_equal o1 (Req.plain base q1));
   let o2, r2 = Session.query s q2 in
   check_i "rev 2" 2 r2.Reuse.revision;
   check_b "rev 2 reused words" true (r2.Reuse.words.Reuse.reused > 0);
   check_b "rev 2 token diff adds" true (r2.Reuse.tokens_added > 0);
   check_i "rev 2 removed none" 0 r2.Reuse.tokens_removed;
-  check_b "rev 2 matches scratch" true (outcome_equal o2 (Engine.run base q2));
+  check_b "rev 2 matches scratch" true (outcome_equal o2 (Req.plain base q2));
   check_i "revisions" 2 (Session.revisions s)
 
 (* on an append-one-word revision the session must hit strictly fewer
@@ -141,7 +141,7 @@ let test_session_fewer_searches () =
         };
     }
   in
-  ignore (Engine.run counting q2);
+  ignore (Req.plain counting q2);
   check_b
     (Printf.sprintf "incremental searches %d < scratch %d"
        r2.Reuse.pairs.Reuse.computed !scratch)
@@ -173,7 +173,7 @@ let test_session_splice () =
   check_b "cfg change disarms splice" false r3.Reuse.splice;
   check_b "recomputed under new cfg" true
     (outcome_equal o3
-       (Engine.run
+       (Req.plain
           (Engine.with_cfg
              (fun c -> { c with Engine.top_k = c.Engine.top_k + 1 })
              base)
@@ -191,7 +191,7 @@ let test_session_table_invalidation () =
   check_b "no splice across threshold change" false r2.Reuse.splice;
   check_b "words recomputed" true (r2.Reuse.words.Reuse.computed > 0);
   check_b "matches scratch under new threshold" true
-    (outcome_equal o2 (Engine.run (Engine.with_cfg tweak base) q));
+    (outcome_equal o2 (Req.plain (Engine.with_cfg tweak base) q));
   (* the same tweak again on an identical query splices (cfg now matches) *)
   let _, r3 = Session.query ~tweak s q in
   check_b "repeat under same tweak splices" true r3.Reuse.splice;
@@ -220,7 +220,7 @@ let test_session_ranked () =
   let hints = Session.ranked ~k:5 s q in
   let code (r : Engine.ranked) = r.Engine.code in
   check_b "ranked equals scratch" true
-    (List.map code hints = List.map code (Engine.run_ranked ~k:5 base q));
+    (List.map code hints = List.map code (Req.ranked ~k:5 base q));
   check_i "ranked does not advance revisions" revs (Session.revisions s)
 
 let test_session_trace_notes () =
@@ -343,7 +343,7 @@ let prop_edit_script_equivalence =
       List.for_all
         (fun rev ->
           let inc, _ = Session.query s rev in
-          let scratch = Engine.run base rev in
+          let scratch = Req.plain base rev in
           (* a timeout on either side makes the comparison indeterminate *)
           inc.Engine.timed_out || scratch.Engine.timed_out
           || outcome_equal inc scratch)
@@ -377,7 +377,7 @@ let test_ranked_equivalence_both_domains () =
            (Session.ranked ~k:5 s q)
         = List.map
             (fun (r : Engine.ranked) -> r.Engine.code)
-            (Engine.run_ranked ~k:5 base q)))
+            (Req.ranked ~k:5 base q)))
     [ te; am ]
 
 let suite =

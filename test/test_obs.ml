@@ -144,10 +144,10 @@ let test_traced_equals_untraced () =
       { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some 10.0 }
   in
   let q = "insert \"-\" at the start of each line" in
-  let plain = Engine.run ses q in
+  let plain = Req.plain ses q in
   let sink = Trace.create () in
   let traced =
-    Engine.run
+    Req.plain
       (Engine.with_cfg (fun c -> { c with Engine.trace = Some sink }) ses)
       q
   in
@@ -206,7 +206,7 @@ let test_explain_word2api_counters () =
       { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some 20.0 }
   in
   let sink = Trace.create () in
-  ignore (Engine.run (Engine.with_cfg (fun c -> { c with Engine.trace = Some sink }) ses) q);
+  ignore (Req.plain (Engine.with_cfg (fun c -> { c with Engine.trace = Some sink }) ses) q);
   let ev = Option.get (Trace.find (Trace.result sink) "WordToAPI") in
   let counter k =
     match List.assoc_opt k ev.Trace.notes with
@@ -240,7 +240,7 @@ let test_explain_pathmerge_counters () =
       { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some 20.0 }
   in
   let sink = Trace.create () in
-  let o = Engine.run (Engine.with_cfg (fun c -> { c with Engine.trace = Some sink }) ses) q in
+  let o = Req.plain (Engine.with_cfg (fun c -> { c with Engine.trace = Some sink }) ses) q in
   let ev = Option.get (Trace.find (Trace.result sink) "PathMerge") in
   let counter k =
     match

@@ -473,7 +473,7 @@ let synthesis_identity ?(stride = 1) (orig : Domain.t) (fromdisk : Domain.t) =
   List.iteri
     (fun i (q : Domain.query) ->
       if i mod stride = 0 then
-        let a = Engine.run s0 q.Domain.text and b = Engine.run s1 q.Domain.text in
+        let a = Req.plain s0 q.Domain.text and b = Req.plain s1 q.Domain.text in
         Alcotest.(check (option string))
           (Printf.sprintf "%s q%d" orig.Domain.name q.Domain.id)
           a.Engine.code b.Engine.code)

@@ -368,13 +368,13 @@ let prop_engine_deterministic =
         Dggt_domains.Domain.configure dom
           { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some 5.0 }
       in
-      let a = Engine.run ses q in
-      let b = Engine.run ses q in
+      let a = Req.plain ses q in
+      let b = Req.plain ses q in
       a.Engine.code = b.Engine.code)
 
 (* Streaming delivery changes when candidates arrive, never what they
    are: a ranked run with an [on_candidate] hook must end on exactly the
-   list the plain [run_ranked ~k] returns, with interim revisions
+   list a [Ranked k] request without the hook returns, with interim revisions
    strictly monotone and every emitted rank inside the top-k window. *)
 let te_session =
   lazy
@@ -420,7 +420,7 @@ let prop_stream_equivalent =
           ses
           { Engine.input = Engine.Text q; mode = Engine.Ranked k }
       in
-      let baseline = Engine.run_ranked ~k ses q in
+      let baseline = Req.ranked ~k ses q in
       let emitted = List.rev !emitted in
       let revisions_monotone =
         fst

@@ -1,10 +1,9 @@
 (* Tests for the PathMerge semiring: cell semantics per objective, the
-   byte-identity of the Min_size chart against the preserved pre-semiring
-   walk (Dggt_eval.Refmerge) — on sampled queries, on random queries, and
-   through lib/inc sessions over random edit scripts — and the soundness
-   of the Top_k n-best (sorted, bounded, duplicate-free, head = the plain
-   run's codelet). DGGT_GOLDEN_FULL=1 widens the sampled sweeps to every
-   benchmark query. *)
+   soundness of the Top_k n-best (sorted, bounded, duplicate-free, head =
+   the plain run's codelet), and the committed golden transcripts that pin
+   the chart walk's answers and statistics byte for byte — from scratch
+   and through lib/inc sessions typed word by word. DGGT_GOLDEN_FULL=1
+   widens the sweeps to every word prefix of every benchmark query. *)
 
 module Semiring = Dggt_core.Semiring
 module Cgt = Dggt_core.Cgt
@@ -22,9 +21,10 @@ let am = Dggt_domains.Astmatcher.domain
 
 let full_sweep () = Sys.getenv_opt "DGGT_GOLDEN_FULL" = Some "1"
 
-let base_session ?(timeout = 10.0) dom =
+(* no wall-clock budget: every answer is the machine-independent one *)
+let golden_session dom =
   Domain.configure dom
-    { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some timeout }
+    { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = None }
 
 (* structural singleton CGTs; node ids and API names only need to be
    distinct, no grammar is involved at the cell level *)
@@ -69,8 +69,7 @@ let test_cell_min_size () =
   (* a tie on every key keeps the incumbent (update_min's strictness) *)
   check_b "exact tie keeps incumbent" false
     (Semiring.plus c (cand ~size:4 ~cov:3 ~score:0.1 ()));
-  check_i "min-size retains one" 1 (List.length (Semiring.Cell.choices c));
-  check_i "non-counting count is 0" 0 (Semiring.Cell.count c)
+  check_i "min-size retains one" 1 (List.length (Semiring.Cell.choices c))
 
 let test_cell_top_k () =
   let c = Semiring.zero (Semiring.Top_k 3) in
@@ -104,32 +103,6 @@ let test_cell_top_k () =
   ignore (Semiring.plus c (cand ~api:"B" ~size:3 ~cov:2 ~score:1.0 ()));
   check_i "duplicate dropped" n (List.length (Semiring.Cell.choices c))
 
-let test_cell_count () =
-  let c = Semiring.zero Semiring.Count in
-  check_i "fresh count 0" 0 (Semiring.Cell.count c);
-  ignore (Semiring.plus c (cand ~nid:1 ~api:"A" ~size:1 ~cov:1 ~score:1.0 ()));
-  check_b "counting cell solved" true (Semiring.Cell.solved c);
-  check_i "count >= 1 once solved" 1 (Semiring.Cell.count c);
-  (* the same CGT offered again (different score) is not a new program *)
-  ignore (Semiring.plus c (cand ~nid:1 ~api:"A" ~size:1 ~cov:1 ~score:2.0 ()));
-  check_i "same CGT not recounted" 1 (Semiring.Cell.count c);
-  ignore (Semiring.plus c (cand ~nid:2 ~api:"B" ~size:1 ~cov:1 ~score:0.1 ()));
-  check_i "distinct CGT counted" 2 (Semiring.Cell.count c);
-  (* Count retains one candidate, like Min_size *)
-  check_i "count retains one" 1 (List.length (Semiring.Cell.choices c))
-
-(* ------------------------------------------------------------------ *)
-(* Min_size vs the preserved reference walk                           *)
-(* ------------------------------------------------------------------ *)
-
-(* byte-equivalence modulo timing, as the bench gate checks it *)
-let outcome_equal (a : Engine.outcome) (b : Engine.outcome) =
-  a.Engine.code = b.Engine.code
-  && a.Engine.cgt_size = b.Engine.cgt_size
-  && a.Engine.failure = b.Engine.failure
-  && a.Engine.timed_out = b.Engine.timed_out
-  && Stats.equal a.Engine.stats b.Engine.stats
-
 let sample_queries dom =
   let qs =
     List.filter (fun q -> not q.Domain.hard) dom.Domain.queries
@@ -138,132 +111,50 @@ let sample_queries dom =
   if full_sweep () then qs
   else List.filteri (fun i _ -> i < 4) qs
 
-let test_minsize_matches_reference () =
-  List.iter
-    (fun dom ->
-      let ses = base_session dom in
-      List.iter
-        (fun q ->
-          let sem = Engine.run ses q in
-          let r =
-            Engine.synthesize_with_merge ~merge:Dggt_eval.Refmerge.synthesize
-              ses.Engine.cfg ses.Engine.target q
-          in
-          if not (sem.Engine.timed_out || r.Engine.timed_out) then
-            check_b
-              (Printf.sprintf "%s: %S matches reference" dom.Domain.name q)
-              true (outcome_equal sem r))
-        (sample_queries dom))
-    [ te; am ]
-
-let prop_random_query_matches_reference =
-  QCheck.Test.make ~name:"semiring Min_size = reference walk on random queries"
-    ~count:10
-    (QCheck.make
-       QCheck.Gen.(pair (oneofl [ `Te; `Am ]) nat)
-       ~print:(fun (d, q) ->
-         Printf.sprintf "(%s, q%d)" (match d with `Te -> "te" | `Am -> "am") q))
-    (fun (which, qidx) ->
-      let dom = match which with `Te -> te | `Am -> am in
-      let qs =
-        List.filter (fun q -> not q.Domain.hard) dom.Domain.queries
-      in
-      let q = (List.nth qs (qidx mod List.length qs)).Domain.text in
-      let ses = base_session ~timeout:5.0 dom in
-      let sem = Engine.run ses q in
-      let r =
-        Engine.synthesize_with_merge ~merge:Dggt_eval.Refmerge.synthesize
-          ses.Engine.cfg ses.Engine.target q
-      in
-      sem.Engine.timed_out || r.Engine.timed_out || outcome_equal sem r)
-
 (* ------------------------------------------------------------------ *)
-(* edit scripts through lib/inc sessions vs the reference walk        *)
+(* transcript lines                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* split a query into edit units, never breaking a quoted literal (the
-   same chunking the inc suite uses) *)
-let edit_chunks q =
-  let out = ref [] and buf = Buffer.create 16 and quoted = ref false in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      out := Buffer.contents buf :: !out;
-      Buffer.clear buf
-    end
-  in
-  String.iter
-    (fun c ->
-      if c = '"' then begin
-        quoted := not !quoted;
-        Buffer.add_char buf c
-      end
-      else if c = ' ' && not !quoted then flush ()
-      else Buffer.add_char buf c)
-    q;
-  flush ();
-  List.rev !out
+let transcript_line q (o : Engine.outcome) (ranked : Engine.ranked list) =
+  let opt f = function None -> "-" | Some x -> f x in
+  let s = o.Engine.stats in
+  String.concat "\t"
+    ([
+       q;
+       opt Fun.id o.Engine.code;
+       opt string_of_int o.Engine.cgt_size;
+       opt Fun.id o.Engine.failure;
+       Stats.(
+         Printf.sprintf
+           "dep_edges=%d orig_paths=%d paths_after_reloc=%d orphan_count=%d \
+            reloc_graphs=%d combos_total=%d combos_after_gprune=%d \
+            combos_after_sprune=%d combos_merged=%d hisyn_combos_enumerated=%d \
+            hisyn_combos_possible=%d dgg_nodes=%d dgg_edges=%d \
+            dgg_improvements=%d"
+           s.dep_edges s.orig_paths s.paths_after_reloc s.orphan_count
+           s.reloc_graphs s.combos_total s.combos_after_gprune
+           s.combos_after_sprune s.combos_merged s.hisyn_combos_enumerated
+           s.hisyn_combos_possible s.dgg_nodes s.dgg_edges s.dgg_improvements);
+     ]
+    @ List.map (fun (r : Engine.ranked) -> r.Engine.code) ranked)
 
-type op = Append | Drop | Punct
+(* A [Ranked 5] request runs the same chart walk as [Plain]: same codelet,
+   CGT size and counters. *)
+let check_same_walk q (plain : Engine.outcome) (ranked : Engine.outcome) =
+  check_b (q ^ ": Ranked 5 walk = Plain walk") true
+    (transcript_line q plain [] = transcript_line q ranked [])
 
-let script_gen =
-  QCheck.Gen.(
-    triple (oneofl [ `Te; `Am ]) nat
-      (list_size (1 -- 4) (oneofl [ Append; Drop; Punct ])))
-
-let revisions_of_script dom qidx ops =
-  let qs = List.filter (fun q -> not q.Domain.hard) dom.Domain.queries in
-  let q = (List.nth qs (qidx mod List.length qs)).Domain.text in
-  let chunks = Array.of_list (edit_chunks q) in
-  let n = Array.length chunks in
-  let prefix k = String.concat " " (Array.to_list (Array.sub chunks 0 k)) in
-  let k = ref (max 1 (n - List.length ops)) in
-  let revs = ref [ prefix !k ] in
-  List.iter
-    (fun op ->
-      match op with
-      | Append ->
-          k := min n (!k + 1);
-          revs := prefix !k :: !revs
-      | Drop ->
-          k := max 1 (!k - 1);
-          revs := prefix !k :: !revs
-      | Punct -> revs := (prefix !k ^ " .") :: !revs)
-    ops;
-  List.rev !revs
-
-let prop_edit_script_matches_reference =
-  QCheck.Test.make
-    ~name:"inc session (semiring) = reference walk over random edit scripts"
-    ~count:10
-    (QCheck.make script_gen
-       ~print:(fun (d, q, ops) ->
-         Printf.sprintf "(%s, q%d, [%s])"
-           (match d with `Te -> "te" | `Am -> "am")
-           q
-           (String.concat ";"
-              (List.map
-                 (function
-                   | Append -> "append" | Drop -> "drop" | Punct -> "punct")
-                 ops))))
-    (fun (which, qidx, ops) ->
-      let dom = match which with `Te -> te | `Am -> am in
-      let base = base_session ~timeout:5.0 dom in
-      let s = Session.create base in
-      List.for_all
-        (fun rev ->
-          let inc, _ = Session.query s rev in
-          let r =
-            Engine.synthesize_with_merge ~merge:Dggt_eval.Refmerge.synthesize
-              base.Engine.cfg base.Engine.target rev
-          in
-          inc.Engine.timed_out || r.Engine.timed_out || outcome_equal inc r)
-        (revisions_of_script dom qidx ops))
+let scratch_line ses q =
+  let plain = Req.plain ses q in
+  let ranked = Req.respond ses (Engine.Ranked 5) q in
+  check_same_walk q plain ranked;
+  transcript_line q plain ranked.Engine.ranked
 
 (* ------------------------------------------------------------------ *)
-(* Top_k soundness and cross-objective invariance                     *)
+(* Top_k soundness and Plain/Ranked invariance                       *)
 (* ------------------------------------------------------------------ *)
 
-(* the documented ranking order on what run_ranked exposes *)
+(* the documented ranking order on what a Ranked request exposes *)
 let ranked_le (a : Engine.ranked) (b : Engine.ranked) =
   a.Engine.coverage > b.Engine.coverage
   || (a.Engine.coverage = b.Engine.coverage
@@ -273,12 +164,11 @@ let ranked_le (a : Engine.ranked) (b : Engine.ranked) =
 let test_topk_soundness () =
   List.iter
     (fun dom ->
-      let ses = base_session dom in
+      let ses = golden_session dom in
       List.iter
         (fun q ->
-          let o = Engine.run ses q in
-          let rk = Engine.run_ranked ~k:5 ses q in
-          check_b (q ^ ": k<=0 is empty") true (Engine.run_ranked ~k:0 ses q = []);
+          let o = Req.plain ses q in
+          let rk = Req.ranked ~k:5 ses q in
           check_b (q ^ ": at most k") true (List.length rk <= 5);
           let codes = List.map (fun (r : Engine.ranked) -> r.Engine.code) rk in
           check_b (q ^ ": no duplicate codes") true
@@ -295,7 +185,7 @@ let test_topk_soundness () =
               Alcotest.fail (q ^ ": plain run succeeded but ranked is empty")
           | None, _ -> check_b (q ^ ": no code, no ranked") true (rk = []));
           (* k = 1 degenerates to the Min_size chart byte-for-byte *)
-          match (o.Engine.code, Engine.run_ranked ~k:1 ses q) with
+          match (o.Engine.code, Req.ranked ~k:1 ses q) with
           | Some c, [ only ] ->
               check_b (q ^ ": k=1 equals run") true
                 (only.Engine.code = c
@@ -305,81 +195,149 @@ let test_topk_soundness () =
         (sample_queries dom))
     [ te; am ]
 
+(* the candidate stream into every cell is the same under Min_size and
+   Top_k, so a Ranked 5 request must reproduce the Plain outcome bytes —
+   codelet, CGT size, failure and statistics alike *)
 let test_objective_outcome_invariance () =
-  (* the candidate stream into every cell is identical across objectives,
-     so Count and Top_k runs must produce the Min_size outcome bytes —
-     codelet, failure and statistics alike *)
   List.iter
     (fun dom ->
-      let ses = base_session dom in
+      let ses = golden_session dom in
       List.iter
         (fun q ->
-          let base = Engine.run ses q in
-          List.iter
-            (fun obj ->
-              let o =
-                Engine.run
-                  (Engine.with_cfg
-                     (fun c -> { c with Engine.objective = obj })
-                     ses)
-                  q
-              in
-              if not (base.Engine.timed_out || o.Engine.timed_out) then
-                check_b
-                  (Printf.sprintf "%s under %s" q (Semiring.to_string obj))
-                  true (outcome_equal base o))
-            [ Semiring.Count; Semiring.Top_k 5 ])
+          check_same_walk q (Req.plain ses q) (Req.respond ses (Engine.Ranked 5) q))
         (sample_queries dom))
     [ te; am ]
 
-let test_count_chart () =
-  (* run the chart itself under Count: whenever synthesis succeeds, every
-     solved API node — the winning root included — has seen >= 1 distinct
-     CGT, and the winner agrees with the plain engine run *)
-  let module Dggt = Dggt_core.Dggt in
-  let module Dgg = Dggt_core.Dgg in
-  let module Word2api = Dggt_core.Word2api in
-  let module Edge2path = Dggt_core.Edge2path in
+(* ------------------------------------------------------------------ *)
+(* golden transcripts                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The committed oracle: one line per input under test/golden/, produced
+   by [Engine.respond] with no wall-clock budget (so no line depends on
+   the machine). [<domain>.txt] holds every benchmark query in domain
+   order, [<domain>.prefixes.txt] every other word prefix of those
+   queries — the revisions an as-you-type client sends. A line is the
+   input, the Plain codelet, CGT size, failure, all Stats counters and
+   the codes of the [Ranked 5] list, tab-separated. On a mismatch the
+   actual transcript is written under _build and the first differing
+   line printed; to re-pin after a deliberate change of answers, copy
+   that file over the golden one. *)
+
+(* golden/ next to the test binary's cwd under dune, test/golden/ from the
+   repo root *)
+let golden_dir () =
+  match List.find_opt Sys.file_exists [ "golden"; "test/golden" ] with
+  | Some d -> d
+  | None -> Alcotest.fail "golden transcripts not found (test/golden/)"
+
+let golden_file dom suffix = String.lowercase_ascii dom.Domain.name ^ suffix ^ ".txt"
+
+let read_golden file =
+  let path = Filename.concat (golden_dir ()) file in
+  if not (Sys.file_exists path) then []
+  else
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+
+(* Compare a computed transcript with its golden file; on a mismatch
+   write the actual one under _build and fail on the first differing
+   line. *)
+let check_transcript file actual =
+  let expected = read_golden file in
+  if actual <> expected then begin
+    let out_dir =
+      if golden_dir () = "golden" then "golden.actual" else "_build/golden.actual"
+    in
+    if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
+    let out = Filename.concat out_dir file in
+    Out_channel.with_open_bin out (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let rec first_diff i = function
+      | e :: es, a :: as_ when e = a -> first_diff (i + 1) (es, as_)
+      | es, as_ ->
+          let hd = function l :: _ -> l | [] -> "(missing)" in
+          (i, hd es, hd as_)
+    in
+    let i, e, a = first_diff 1 (expected, actual) in
+    Alcotest.failf
+      "%s differs at line %d:\n  golden: %s\n  actual: %s\nactual transcript \
+       written to %s (copy it over test/golden/%s to re-pin)"
+      file i e a out file
+  end
+
+(* word-prefix revisions of a query, never breaking a quoted literal; the
+   last revision is the query itself *)
+let revisions q =
+  let chunks = Test_inc.edit_chunks q in
+  let n = List.length chunks in
+  List.init (n - 1) (fun k ->
+      String.concat " " (List.filteri (fun i _ -> i <= k) chunks))
+  @ [ q ]
+
+let query_texts dom = List.map (fun q -> q.Domain.text) dom.Domain.queries
+
+(* the proper prefixes, first appearance first, without repeats and
+   without inputs that are themselves benchmark queries *)
+let prefix_inputs dom =
+  let seen = Hashtbl.create 256 in
+  List.iter (fun q -> Hashtbl.replace seen q ()) (query_texts dom);
+  List.concat_map revisions (query_texts dom)
+  |> List.filter (fun r ->
+         (not (Hashtbl.mem seen r)) && (Hashtbl.replace seen r (); true))
+
+let test_golden_queries () =
   List.iter
     (fun dom ->
-      let ses = base_session dom in
-      let g = Lazy.force dom.Domain.graph in
+      let ses = golden_session dom in
+      let lines = List.map (scratch_line ses) (query_texts dom) in
+      check_transcript (golden_file dom "") lines;
+      if full_sweep () then
+        check_transcript
+          (golden_file dom ".prefixes")
+          (List.map (scratch_line ses) (prefix_inputs dom)))
+    [ te; am ]
+
+(* Every revision typed word by word through one lib/inc session per query
+   must answer the golden line of that input: Plain through
+   [Session.query] (splices and memo-table reuse included), the n-best
+   through [Session.ranked]. The first 4 queries per domain by default,
+   all of them under DGGT_GOLDEN_FULL=1. *)
+let test_golden_session () =
+  List.iter
+    (fun dom ->
+      let golden = Hashtbl.create 1024 in
+      List.iter
+        (fun l -> Hashtbl.replace golden (List.hd (String.split_on_char '\t' l)) l)
+        (read_golden (golden_file dom "") @ read_golden (golden_file dom ".prefixes"));
+      let ses = golden_session dom in
+      let queries = query_texts dom in
+      let queries =
+        if full_sweep () then queries else List.filteri (fun i _ -> i < 4) queries
+      in
       List.iter
         (fun q ->
-          let cfg = ses.Engine.cfg in
-          let dg = Engine.prune cfg (Engine.parse cfg q) in
-          let w2a = Word2api.build (Lazy.force dom.Domain.doc) dg in
-          let e2p = Edge2path.build g dg w2a in
-          let stats = Dggt_core.Stats.create () in
-          match
-            Dggt.synthesize_with_graph ~objective:Semiring.Count
-              ~budget:(Dggt_util.Budget.of_seconds 10.0)
-              ~stats g dg w2a e2p
-          with
-          | exception Dggt_util.Budget.Exhausted -> () (* indeterminate *)
-          | None, _ -> ()
-          | Some _, dyng ->
-              List.iter
-                (fun n ->
-                  if Dgg.solved n then
-                    check_b (q ^ ": solved node counts >= 1") true
-                      (Dgg.distinct_count n >= 1))
-                (Dgg.nodes dyng))
-        (sample_queries dom))
+          let s = Session.create ses in
+          List.iter
+            (fun rev ->
+              let o, _ = Session.query s rev in
+              Alcotest.(check string)
+                (Printf.sprintf "session typing %S, revision %S" q rev)
+                (Option.value (Hashtbl.find_opt golden rev) ~default:"(missing)")
+                (transcript_line rev o (Session.ranked ~k:5 s rev)))
+            (revisions q))
+        queries)
     [ te; am ]
 
 let suite =
   [
     Alcotest.test_case "cell: Min_size semantics" `Quick test_cell_min_size;
     Alcotest.test_case "cell: Top_k semantics" `Quick test_cell_top_k;
-    Alcotest.test_case "cell: Count semantics" `Quick test_cell_count;
-    Alcotest.test_case "Count chart: solved nodes count >= 1" `Quick
-      test_count_chart;
-    Alcotest.test_case "Min_size = reference (sampled queries)" `Quick
-      test_minsize_matches_reference;
     Alcotest.test_case "Top_k soundness" `Quick test_topk_soundness;
     Alcotest.test_case "objective outcome invariance" `Quick
       test_objective_outcome_invariance;
-    QCheck_alcotest.to_alcotest prop_random_query_matches_reference;
-    QCheck_alcotest.to_alcotest prop_edit_script_matches_reference;
+    Alcotest.test_case "golden transcripts: every query, Plain and Ranked 5"
+      `Quick test_golden_queries;
+    Alcotest.test_case "golden transcripts: inc session typed word by word"
+      `Quick test_golden_session;
   ]

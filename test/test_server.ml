@@ -1,6 +1,6 @@
 (* Tests for dggt_server: JSON round-trips, the LRU cache, the bounded
    worker pool, and an end-to-end loopback-socket exercise of the HTTP
-   service against Engine.synthesize ground truth. *)
+   service against Engine.respond ground truth. *)
 
 open Dggt_server
 module J = Jsonio
@@ -351,7 +351,7 @@ let test_e2e_synthesize () =
         |> Engine.with_cfg (fun c ->
                { c with Engine.timeout_s = Some Serve.default_params.Serve.default_timeout_s })
       in
-      let expected = Engine.run ses qtext in
+      let expected = Req.plain ses qtext in
       let expected_code = Option.get expected.Engine.code in
       (* first request computes *)
       let reqbody =
@@ -469,6 +469,36 @@ let test_e2e_synthesize () =
 let get_json ~port ~meth ~path ?body () =
   let st, raw = http ~port ~meth ~path ?body () in
   (st, Result.get_ok (J.of_string raw))
+
+(* /synthesize with k > 1 answers DGGT from one Ranked walk under the
+   request's budget: its codelet heads the alternatives, its n-best is
+   /rank's, and its codelet and statistics are the k = 1 response's.
+   HISyn's alternatives are the same DGGT n-best. *)
+let test_synthesize_ranked () =
+  with_server (fun srv ->
+      let post path fields =
+        let body = J.to_string (J.Obj fields) in
+        let st, j = get_json ~port:(Serve.port srv) ~meth:"POST" ~path ~body () in
+        check_i (path ^ " status") 200 st;
+        fun key -> J.member key j
+      in
+      let q = [ ("query", J.Str "delete all numbers in every line"); ("domain", J.Str "te") ] in
+      let k5 = ("k", J.Num 5.0) :: q in
+      let s5 = post "/synthesize" k5 in
+      let s1 = post "/synthesize" q in
+      let r5 = post "/rank" k5 in
+      let h5 = post "/synthesize" (("engine", J.Str "hisyn") :: k5) in
+      let head = match s5 "alternatives" with Some (J.Arr (h :: _)) -> Some h | _ -> None in
+      List.iter
+        (fun (what, a, b) -> check_b what true (a = b))
+        [
+          ("code heads alternatives", s5 "code", head);
+          ("alternatives = /rank candidates", s5 "alternatives", r5 "candidates");
+          ("ranked = /rank ranked", s5 "ranked", r5 "ranked");
+          ("stats = k=1 stats", s5 "stats", s1 "stats");
+          ("code = k=1 code", s5 "code", s1 "code");
+          ("hisyn alternatives = /rank candidates", h5 "alternatives", r5 "candidates");
+        ])
 
 let test_e2e_sessions () =
   with_server (fun srv ->
@@ -861,6 +891,8 @@ let suite =
     Alcotest.test_case "pool bounded queue" `Quick test_pool_bounded_queue;
     Alcotest.test_case "pool deadline drop" `Quick test_pool_deadline;
     Alcotest.test_case "e2e loopback service" `Quick test_e2e_synthesize;
+    Alcotest.test_case "synthesize k>1: one ranked walk" `Quick
+      test_synthesize_ranked;
     Alcotest.test_case "e2e sessions" `Quick test_e2e_sessions;
     Alcotest.test_case "e2e session reload 410" `Quick test_e2e_session_reload_410;
     Alcotest.test_case "stream rank sse" `Quick test_stream_rank;

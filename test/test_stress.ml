@@ -139,7 +139,7 @@ let test_budget_exhaustion_ladder () =
   let tgt = Engine.target (Lazy.force graph) (Lazy.force doc) in
   let q = "insert \"-\" at the start of each line" in
   let reference =
-    Engine.synthesize { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = None } tgt q
+    Req.plain_with { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = None } tgt q
   in
   List.iter
     (fun steps ->
@@ -150,7 +150,7 @@ let test_budget_exhaustion_ladder () =
           max_steps = Some steps;
         }
       in
-      let o = Engine.synthesize cfg tgt q in
+      let o = Req.plain_with cfg tgt q in
       if not o.Engine.timed_out then
         Alcotest.(check (option string))
           (Printf.sprintf "steps=%d agrees with unlimited" steps)
@@ -198,7 +198,7 @@ let test_hisyn_budget_ladder () =
           max_steps = Some steps;
         }
       in
-      let o = Engine.synthesize cfg tgt q in
+      let o = Req.plain_with cfg tgt q in
       check_b "timeout or code" true (o.Engine.timed_out || o.Engine.code <> None))
     [ 1; 3; 7; 19; 1_000_000 ]
 
@@ -211,7 +211,7 @@ let test_single_rule_grammar () =
   let g = Ggraph.build cfg in
   let d = Apidoc.make [ ("ONLY", "the only thing there is") ] in
   let o =
-    Engine.synthesize (Engine.default Engine.Dggt_alg) (Engine.target g d)
+    Req.plain_with (Engine.default Engine.Dggt_alg) (Engine.target g d)
       "the only thing"
   in
   Alcotest.(check (option string)) "trivial grammar synthesizes" (Some "ONLY()")
@@ -226,7 +226,7 @@ let test_self_recursive_grammar () =
     Apidoc.make [ ("WRAP", "wrap the inner expression"); ("LIT", "a literal leaf value") ]
   in
   let o =
-    Engine.synthesize (Engine.default Engine.Dggt_alg) (Engine.target g d)
+    Req.plain_with (Engine.default Engine.Dggt_alg) (Engine.target g d)
       "wrap a literal"
   in
   Alcotest.(check (option string)) "recursive grammar" (Some "WRAP(LIT())") o.Engine.code
@@ -236,7 +236,7 @@ let test_absurd_inputs_total () =
   let cfg = { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some 3.0 } in
   List.iter
     (fun q ->
-      let o = Engine.synthesize cfg tgt q in
+      let o = Req.plain_with cfg tgt q in
       (* outcome is well-formed either way *)
       check_b "code xor failure" true
         ((o.Engine.code <> None) <> (o.Engine.failure <> None)))
@@ -254,7 +254,7 @@ let test_empty_document () =
   let g = Lazy.force graph in
   let d = Apidoc.make [] in
   let o =
-    Engine.synthesize (Engine.default Engine.Dggt_alg) (Engine.target g d)
+    Req.plain_with (Engine.default Engine.Dggt_alg) (Engine.target g d)
       "insert a string"
   in
   check_b "no candidates -> clean failure" true (o.Engine.code = None)
@@ -264,7 +264,7 @@ let test_doc_grammar_mismatch () =
   let g = Lazy.force graph in
   let d = Apidoc.make [ ("GHOST", "a phantom api that the grammar does not know") ] in
   let o =
-    Engine.synthesize (Engine.default Engine.Dggt_alg) (Engine.target g d)
+    Req.plain_with (Engine.default Engine.Dggt_alg) (Engine.target g d)
       "a phantom api"
   in
   check_b "unknown APIs ignored" true (o.Engine.code = None)
