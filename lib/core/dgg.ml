@@ -36,7 +36,6 @@ let create objective =
     start_node = start;
   }
 
-let objective t = t.objective
 let start t = t.start_node
 let id n = n.id
 let kind n = n.kind
@@ -59,7 +58,6 @@ let add_edge t ~src ~dst ~epath =
 let best n = Semiring.Cell.best n.cell
 let solved n = Semiring.Cell.solved n.cell
 let choices n = Semiring.Cell.choices n.cell
-let cand_count n = List.length (Semiring.Cell.choices n.cell)
 
 let size n =
   match Semiring.Cell.best n.cell with

@@ -31,7 +31,6 @@ val create : Semiring.t -> t
 (** A fresh graph whose cells accumulate under the given objective. The
     start node holds the empty derivation (size 0). *)
 
-val objective : t -> Semiring.t
 val start : t -> node
 val id : node -> int
 val kind : node -> node_kind
@@ -62,8 +61,6 @@ val size : node -> int
 val choices : node -> Semiring.cand list
 (** All retained candidates, best first (more than one only under
     {!Semiring.Top_k}). *)
-
-val cand_count : node -> int
 
 val nodes : t -> node list
 val edges : t -> edge list

@@ -209,10 +209,26 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
           in
           if List.for_all (fun gp -> gp <> []) groups then begin
             let case_ii = List.length groups > 1 in
-            (* grammar-based pruning happens inside combination generation *)
-            let survivors, total =
+            (* grammar-based pruning happens inside combination generation;
+               a Case II call gets its own span under PathMerge *)
+            let combos () =
               Gprune.combos ~budget ~visits:gprune_visits g
                 ~enabled:(gprune && case_ii) groups
+            in
+            let survivors, total =
+              if not case_ii then combos ()
+              else
+                Trace.sub trace "Gprune" (fun sp ->
+                    let before = !gprune_visits in
+                    let ((survivors, _) as r) = combos () in
+                    if Trace.on sp then begin
+                      Trace.str sp "groups"
+                        (String.concat "x"
+                           (List.map (fun gp -> string_of_int (List.length gp)) groups));
+                      Trace.int sp "visits" (!gprune_visits - before);
+                      Trace.int sp "survivors" (List.length survivors)
+                    end;
+                    r)
             in
             let after_gprune = List.length survivors in
             if case_ii then begin

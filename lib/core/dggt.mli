@@ -44,7 +44,9 @@ val synthesize_with_graph :
     [stats]. When [trace] is given (the engine's open PathMerge span),
     decision-level notes are recorded on it: per-governor combination
     counts before/after each pruning pass, [min_size] improvements per
-    (word, API) memo, and the final DGG level sizes.
+    (word, API) memo, and the final DGG level sizes. Each Case II
+    grammar-pruning call opens a ["Gprune"] child span with its group
+    sizes, visits and survivors.
 
     [on_improve] is the streaming emission seam: it fires inside the
     chart walk each time a {e root} cell's best-first bounded cell

@@ -10,9 +10,15 @@
     chosen one.
 
     Nothing pairwise is built. Each path carries a signature, the
-    [(grammar node, production)] pairs of its edges; the generator keeps a
-    node -> production multiset of the paths chosen so far and checks a
-    candidate against it in O(|path|). *)
+    [(grammar node, production)] pairs of its edges. The paths of each
+    sibling group are the bits of a bitset, and every group after the
+    first is indexed by grammar node: the paths touching the node, and per
+    production the paths leaving it through that production. Binding a
+    path narrows every later group's live set with one AND per signature
+    entry, so the search enumerates only compatible candidates (forward
+    checking) and abandons a prefix as soon as some later group has none
+    left. Candidates are taken in index order, so survivors come out in
+    the lexicographic order of a plain product walk. *)
 
 val combos :
   ?budget:Dggt_util.Budget.t ->
@@ -23,8 +29,10 @@ val combos :
   Edge2path.epath list list * int
 (** [combos g ~enabled groups] enumerates one-path-per-group combinations,
     skipping (when [enabled]) every combination containing a conflict pair.
-    Returns the surviving combinations and the total combination count
-    before pruning (the product of group sizes, saturating). Signatures
-    are read off [g] once per call, for the given paths only, and only
-    when [enabled]. The budget is ticked, and [visits] incremented, once
-    per candidate path tried at each position. *)
+    Returns the surviving combinations, in the order of the cartesian
+    product, and the total combination count before pruning (the product
+    of group sizes, saturating). Signatures are read off [g] once per
+    call, for the given paths only, and only when [enabled] with two or
+    more groups. The budget is ticked, and [visits] incremented, once per
+    candidate enumerated at every level: with pruning on, every such
+    candidate is compatible with the paths chosen before it. *)

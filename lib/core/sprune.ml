@@ -1,15 +1,34 @@
-module SS = Set.Make (String)
-
 type bounds = { lo : int; hi : int }
+
+(* Distinct APIs over the combination's paths. An API counts where it
+   first occurs: not earlier on its own path, not on an earlier path. A
+   combination is a few short paths, so scanning beats building a set.
+   Names off one grammar graph are shared strings, so [==] settles the
+   equal ones. *)
+let same a b = a == b || String.equal a b
+
+let rec occurs a apis j stop = j < stop && (same apis.(j) a || occurs a apis (j + 1) stop)
+
+let rec on_paths a = function
+  | [] -> false
+  | apis :: rest -> occurs a apis 0 (Array.length apis) || on_paths a rest
+
+let distinct_apis combo =
+  let rec count earlier = function
+    | [] -> 0
+    | (p : Edge2path.epath) :: rest ->
+        let apis = p.Edge2path.path.Dggt_grammar.Gpath.apis in
+        let fresh = ref 0 in
+        for i = 0 to Array.length apis - 1 do
+          let a = apis.(i) in
+          if not (occurs a apis 0 i || on_paths a earlier) then incr fresh
+        done;
+        !fresh + count (apis :: earlier) rest
+  in
+  count [] combo
 
 let bounds_of ~extra combo =
   let n = List.length combo in
-  let union_apis =
-    List.fold_left
-      (fun acc (p : Edge2path.epath) ->
-        Array.fold_left (fun acc a -> SS.add a acc) acc p.Edge2path.path.Dggt_grammar.Gpath.apis)
-      SS.empty combo
-  in
   let sum_sizes =
     List.fold_left
       (fun acc (p : Edge2path.epath) ->
@@ -17,7 +36,7 @@ let bounds_of ~extra combo =
       0 combo
   in
   let extras = List.fold_left (fun acc p -> acc + extra p) 0 combo in
-  { lo = SS.cardinal union_apis + extras; hi = sum_sizes - (n - 1) + extras }
+  { lo = distinct_apis combo + extras; hi = sum_sizes - (n - 1) + extras }
 
 let prune ~enabled ~extra combos =
   if (not enabled) || combos = [] then combos

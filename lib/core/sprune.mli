@@ -12,7 +12,10 @@
     subtree's contribution in DGGT), both bounds shift by the same sum, so
     the bound stays sound. A combination whose lower bound exceeds the
     smallest upper bound among all combinations cannot be minimal and is
-    dropped without building its prefix tree. *)
+    dropped without building its prefix tree.
+
+    The lower bound's distinct-API count scans each path's API names
+    against the names before it; no set is built per combination. *)
 
 type bounds = { lo : int; hi : int }
 

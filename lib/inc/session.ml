@@ -281,10 +281,10 @@ let respond ?on_candidate ?tweak t req =
   Mutex.unlock t.mu;
   res
 
-let ranked ?(k = 5) t q =
+let ranked ?(k = 5) ?tweak t q =
   if k <= 0 then []
   else
-    (respond t { Engine.input = Engine.Text q; mode = Engine.Ranked k })
+    (respond ?tweak t { Engine.input = Engine.Text q; mode = Engine.Ranked k })
       .Engine.ranked
 
 let reset t =

@@ -70,10 +70,16 @@ val respond :
     {!Dggt_core.Engine.respond}; [tweak] adjusts the base config for this
     call (trace sink, timeout) exactly as in {!query}. *)
 
-val ranked : ?k:int -> t -> string -> Dggt_core.Engine.ranked list
+val ranked :
+  ?k:int ->
+  ?tweak:(Dggt_core.Engine.config -> Dggt_core.Engine.config) ->
+  t ->
+  string ->
+  Dggt_core.Engine.ranked list
 (** Ranked-hints mode through the session's memo tables — {!respond}
-    with a [Ranked k] text request. Does not advance the revision history or disturb the last
-    {!query}'s reuse accounting. *)
+    with a [Ranked k] text request, [tweak] applied as there. Does not
+    advance the revision history or disturb the last {!query}'s reuse
+    accounting. *)
 
 val reset : t -> unit
 (** Drop the revision history and memo tables; the next {!query} computes

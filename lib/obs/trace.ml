@@ -20,9 +20,10 @@ type span = {
   mutable snotes : (string * value) list; (* newest first *)
   mutable ncount : int;
   mutable ndropped : int;
+  owner : sink;
 }
 
-type sink = {
+and sink = {
   clock : unit -> float;
   origin : float;
   max_notes : int;
@@ -48,6 +49,7 @@ let enter sink name =
       snotes = [];
       ncount = 0;
       ndropped = 0;
+      owner = sink;
     }
   in
   sink.next_id <- sink.next_id + 1;
@@ -100,6 +102,9 @@ let span sink name f =
   | Some s ->
       let sp = enter s name in
       Fun.protect ~finally:(fun () -> finish s sp) (fun () -> f (Some sp))
+
+let sub sp name f =
+  match sp with None -> f None | Some sp -> span (Some sp.owner) name f
 
 let note sp key v =
   match sp with

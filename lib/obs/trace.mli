@@ -63,6 +63,13 @@ val span : sink option -> string -> (span option -> 'a) -> 'a
     it even if [f] raises (budget exhaustion propagates through traced
     stages). [span None name f] is exactly [f None]. *)
 
+val sub : span option -> string -> (span option -> 'a) -> 'a
+(** [sub (Some sp) name f] is {!span} on [sp]'s sink: a child span for a
+    stage that is handed its parent span rather than the sink (PathMerge
+    opens ["Gprune"] this way). It nests under the innermost span still
+    open, which is [sp] while [sp]'s own work runs. [sub None name f] is
+    exactly [f None]. *)
+
 val note : span option -> string -> value -> unit
 val int : span option -> string -> int -> unit
 val str : span option -> string -> string -> unit

@@ -731,10 +731,11 @@ let session_query_handler t (req : Httpd.request) id =
                     match
                       let oq = Dggt_inc.Session.query ~tweak sr.inc query in
                       let rk =
-                        (* the n-best rides the session's memo tables; k=1
+                        (* the n-best rides the session's memo tables, under
+                           the request's timeout and into its trace; k=1
                            keeps the historical payload (no ranked field) *)
                         if k > 1 && not (fst oq).Engine.timed_out then
-                          Dggt_inc.Session.ranked ~k sr.inc query
+                          Dggt_inc.Session.ranked ~k ~tweak sr.inc query
                         else []
                       in
                       (oq, rk)

@@ -263,6 +263,61 @@ let test_explain_pathmerge_counters () =
       check_b ("explain shows " ^ k) true (Dggt_util.Strutil.contains_sub ~sub:k out))
     [ "cgt_checks"; "gprune_visits" ]
 
+(* Each Case II Gprune.combos call is a "Gprune" span under PathMerge
+   with its group sizes, visits and survivors: the survivors sum to the
+   query's combos_after_gprune, every call enumerated at least its
+   survivors, and the calls' visits are within PathMerge's gprune_visits
+   (which also counts Case I candidates). Off, the child span is the bare
+   call. *)
+let test_gprune_subspan () =
+  let off =
+    Trace.sub None "Gprune" (fun sp ->
+        check_b "no span when off" false (Trace.on sp);
+        7)
+  in
+  check_i "sub None is the bare call" 7 off;
+  let dom = Dggt_domains.Text_editing.domain in
+  let q = "insert \"-\" at the start of every line containing numbers" in
+  let ses =
+    Dggt_domains.Domain.configure dom
+      { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some 20.0 }
+  in
+  let sink = Trace.create () in
+  let o = Req.plain (Engine.with_cfg (fun c -> { c with Engine.trace = Some sink }) ses) q in
+  let events = (Trace.result sink).Trace.events in
+  let pathmerge =
+    List.filter_map
+      (fun (e : Trace.event) -> if e.Trace.stage = "PathMerge" then Some e.Trace.id else None)
+      events
+  in
+  let int_note k (e : Trace.event) =
+    List.fold_left
+      (fun acc -> function k', Trace.Int n when k' = k -> acc + n | _ -> acc)
+      0 e.Trace.notes
+  in
+  let calls = List.filter (fun (e : Trace.event) -> e.Trace.stage = "Gprune") events in
+  check_b "Case II calls traced" true (calls <> []);
+  List.iter
+    (fun (e : Trace.event) ->
+      check_b "under PathMerge" true
+        (match e.Trace.parent with Some p -> List.mem p pathmerge | None -> false);
+      check_b "group sizes noted" true
+        (List.exists
+           (function "groups", Trace.Str g -> String.contains g 'x' | _ -> false)
+           e.Trace.notes);
+      check_b "visits >= survivors" true (int_note "visits" e >= int_note "survivors" e))
+    calls;
+  let sum k = List.fold_left (fun acc e -> acc + int_note k e) 0 calls in
+  check_i "survivors sum to combos_after_gprune"
+    o.Engine.stats.Dggt_core.Stats.combos_after_gprune (sum "survivors");
+  let pm_visits =
+    List.fold_left
+      (fun acc (e : Trace.event) ->
+        if e.Trace.stage = "PathMerge" then acc + int_note "gprune_visits" e else acc)
+      0 events
+  in
+  check_b "calls' visits within gprune_visits" true (sum "visits" <= pm_visits)
+
 let suite =
   [
     Alcotest.test_case "span nesting and order" `Quick test_span_nesting;
@@ -279,4 +334,5 @@ let suite =
     Alcotest.test_case "explain ASTMatcher e2e" `Quick test_explain_astmatcher;
     Alcotest.test_case "explain WordToAPI counters" `Quick test_explain_word2api_counters;
     Alcotest.test_case "explain PathMerge counters" `Quick test_explain_pathmerge_counters;
+    Alcotest.test_case "Gprune sub-span under PathMerge" `Quick test_gprune_subspan;
   ]

@@ -851,6 +851,64 @@ let test_cgt_scan_oracle () =
       "second parent"; "second parent, |E| = |V| - 1"; "one root, cycle";
       "edges and lone nodes" ]
 
+(* Grammar pruning against the same oracle on groups wide enough to span
+   several 63-bit words: 2-6 sibling groups below one governor API, one
+   (sometimes two) of them drawing 60-300 candidates, so bits 62 and 63
+   of a group's sets are in play at every position; the other groups draw
+   1-3. Group sizes are clamped so the product stays under [cap], which
+   keeps the oracle's full enumeration cheap. *)
+let draw_large_groups o st =
+  let cap = 20_000 in
+  let a = o.govs.(Random.State.int st (Array.length o.govs)) in
+  let n = 2 + Random.State.int st 5 in
+  let large = Random.State.int st n in
+  let big = 60 + Random.State.int st 241 in
+  let room = ref (cap / big) in
+  let sizes =
+    Array.init n (fun i ->
+        if i = large then big
+        else
+          let s = max 1 (min (1 + Random.State.int st 3) !room) in
+          room := !room / s;
+          s)
+  in
+  (* a second wide group where the product still allows one *)
+  (match List.filter (fun i -> i <> large && sizes.(i) = 1) (List.init n Fun.id) with
+  | i :: _ when !room >= 60 && Random.State.bool st ->
+      sizes.(i) <- 60 + Random.State.int st (min 241 (!room - 59))
+  | _ -> ());
+  Array.to_list sizes
+  |> List.map (fun m -> List.init m Fun.id |> List.filter_map (fun _ -> draw_path o st a))
+  |> List.filter (fun g -> g <> [])
+  |> number_groups
+
+let prop_gprune_oracle_wide =
+  QCheck.Test.make
+    ~name:"grammar pruning = conflict-table oracle on 60-300-path groups (both domains)"
+    ~count:40
+    QCheck.(pair bool (int_bound 1_000_000))
+    (fun (am, seed) ->
+      let o = Lazy.force (if am then am_oracle else te_oracle) in
+      matches_oracle o.og (draw_large_groups o (Random.State.make [| seed |])))
+
+(* Size pruning's lower bound counts each API of a combination once:
+   against a string set over real sibling paths of both graphs. *)
+let prop_sprune_distinct_apis =
+  QCheck.Test.make ~name:"size bound lo = distinct APIs of the combination (both domains)"
+    ~count:200
+    QCheck.(pair bool (int_bound 1_000_000))
+    (fun (am, seed) ->
+      let o = Lazy.force (if am then am_oracle else te_oracle) in
+      let combo = List.map List.hd (draw_groups o (Random.State.make [| seed |])) in
+      let module SS = Set.Make (String) in
+      let apis =
+        List.fold_left
+          (fun acc (p : Edge2path.epath) ->
+            Array.fold_left (fun acc a -> SS.add a acc) acc p.Edge2path.path.Gpath.apis)
+          SS.empty combo
+      in
+      (Sprune.bounds_of ~extra:(fun _ -> 0) combo).Sprune.lo = SS.cardinal apis)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -870,3 +928,4 @@ let suite =
         `Quick test_w2a_index_equivalence;
       Alcotest.test_case "CGT one scan = definitional checks (sampled; DGGT_GOLDEN_FULL=1 for all)"
         `Quick test_cgt_scan_oracle ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_gprune_oracle_wide; prop_sprune_distinct_apis ]

@@ -869,6 +869,57 @@ let test_stream_session () =
       check_b "stream did not advance revisions" true
         (J.int_field "revision" reuse = Some 1))
 
+(* A session query with k > 1 computes its n-best under the request's
+   timeout and records it in the request's trace. The server's default
+   timeout (the one the session was created with) is too small for the
+   query, so only a ranked pass that honours the request's 30 s finds
+   the alternatives /rank finds; the trace holds both passes' PathMerge. *)
+let test_session_ranked_tweak () =
+  let params =
+    { Serve.default_params with
+      Serve.port = 0; workers = 1; queue_capacity = 8; cache_size = 32;
+      default_timeout_s = 1e-4 }
+  in
+  let srv = Serve.create params in
+  Fun.protect ~finally:(fun () -> Serve.stop srv) (fun () ->
+      let port = Serve.port srv in
+      let q = "insert \"-\" at the start of every line containing numbers" in
+      let k5 = [ ("query", J.Str q); ("k", J.Num 5.); ("timeout", J.Num 30.) ] in
+      let st, rank =
+        get_json ~port ~meth:"POST" ~path:"/rank"
+          ~body:(J.to_string (J.Obj (("domain", J.Str "te") :: k5))) ()
+      in
+      check_i "rank status" 200 st;
+      let st, j =
+        get_json ~port ~meth:"POST" ~path:"/session" ~body:{|{"domain":"te"}|} ()
+      in
+      check_i "session created" 201 st;
+      let sid = Option.get (J.str_field "session" j) in
+      let st, j =
+        get_json ~port ~meth:"POST"
+          ~path:("/session/" ^ sid ^ "/query")
+          ~body:(J.to_string (J.Obj k5)) ()
+      in
+      check_i "session query status" 200 st;
+      check_b "query answered" true (J.bool_field "ok" j = Some true);
+      (match J.member "candidates" rank with
+      | Some (J.Arr (_ :: _)) as c ->
+          check_b "session alternatives = /rank candidates" true
+            (J.member "alternatives" j = c)
+      | _ -> Alcotest.fail "/rank found no candidates");
+      let st, traces = get_json ~port ~meth:"GET" ~path:"/debug/trace" () in
+      check_i "debug trace status" 200 st;
+      match J.member "traces" traces with
+      | Some (J.Arr (newest :: _)) ->
+          let stages =
+            match J.member "events" newest with
+            | Some (J.Arr evs) -> List.filter_map (J.str_field "stage") evs
+            | _ -> []
+          in
+          check_i "query and ranked pass both traced" 2
+            (List.length (List.filter (( = ) "PathMerge") stages))
+      | _ -> Alcotest.fail "no trace recorded")
+
 let test_version_streaming () =
   with_server (fun srv ->
       let port = Serve.port srv in
@@ -900,4 +951,6 @@ let suite =
     Alcotest.test_case "stream client disconnect" `Quick test_stream_disconnect;
     Alcotest.test_case "stream session query" `Quick test_stream_session;
     Alcotest.test_case "version advertises streaming" `Quick test_version_streaming;
+    Alcotest.test_case "session query k>1: ranked pass under the request" `Quick
+      test_session_ranked_tweak;
   ]
